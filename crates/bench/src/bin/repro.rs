@@ -800,13 +800,17 @@ fn sanitize_run(args: &Args) {
 fn sched_run(args: &Args) {
     use locassm_bench::schedbench::sched_bench;
 
-    // Timelines record one event per memory touch; cap the dataset so a
-    // default full-scale invocation stays in memory-friendly territory.
+    // Timelines pack each memory touch into one 4-byte word (the k=77,
+    // scale-0.5 MI250X benchmark workload records 21.4 M of them and peaks
+    // near 32 MiB RSS), but replay time still grows with the event count
+    // and `--sched-trace` keeps a 48-byte slice per issue segment, so the
+    // dataset stays capped for a quick default invocation.
     let scale = args.scale.min(0.02);
     if scale < args.scale {
         eprintln!(
             "[repro] scheduled mode caps the dataset at scale {scale} \
-             (full-scale timelines would be GB-sized)"
+             (timelines cost 4 B per memory touch, SM-track slices 48 B \
+             per issue segment; the replay's host time grows with both)"
         );
     }
     let r = sched_bench(21, scale, args.seed);

@@ -238,7 +238,8 @@ fn escalation_ladder(
 /// plan stays armed for attempt indices `0..plan.attempts` (the batch run
 /// was attempt 0), so a transient plan clears on the first retry while a
 /// persistent one keeps faulting until the ladder is exhausted. Retry
-/// counters and traces merge into the run totals.
+/// counters, traces, scheduled replays and their SM track slices merge
+/// into the run totals.
 #[allow(clippy::too_many_arguments)]
 fn escalate_job(
     cfg: &GpuConfig,
@@ -250,6 +251,7 @@ fn escalate_job(
     total: &mut AggCounters,
     phases: &mut PhaseCounters,
     san: &mut SanReport,
+    sched_tracks: &mut Vec<simt::SmSlice>,
 ) -> (JobOutcome, Option<KernelOut>) {
     let mut fault = first_fault;
     let mut grown = matches!(fault, KernelFault::HashTableFull { .. });
@@ -297,8 +299,9 @@ fn escalate_job(
         }
         total.merge(&out.counters);
         // Retries replay too (a single resident warp hides nothing), so
-        // the run's scheduled profile covers every launched instruction.
-        schedule_launch(spec, &out.timelines, 1, false, phases, &mut Vec::new());
+        // the run's scheduled profile and SM tracks cover every launched
+        // instruction.
+        schedule_launch(spec, &out.timelines, 1, cfg.sched_tracks, phases, sched_tracks);
         let instr = out.warp_instruction_counts;
         let results = out.results;
         fold_phases(phases, cfg.width, &results, &instr, &out.counters);
@@ -641,6 +644,7 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                                 &mut total,
                                 &mut phases,
                                 &mut san,
+                                &mut sched_tracks,
                             )
                         }
                     };

@@ -17,8 +17,8 @@
 //! analytic formula) and `phases.sched` itself (absent in counter mode).
 
 use gpu_specs::DeviceId;
-use locassm_kernels::{run_local_assembly, GpuConfig, GpuRunResult, TableLayoutKind};
-use simt::{ExecMode, SanitizerConfig};
+use locassm_kernels::{run_local_assembly, GpuConfig, GpuRunResult, JobOutcome, TableLayoutKind};
+use simt::{ExecMode, FaultPlan, SanitizerConfig};
 use workloads::paper_dataset;
 
 const DEVICES: [DeviceId; 3] = [DeviceId::A100, DeviceId::Mi250x, DeviceId::Max1550];
@@ -209,7 +209,9 @@ fn scheduled_replay_is_deterministic() {
 }
 
 /// SM track recording is opt-in, produces non-empty phase-labelled slices
-/// on a run-global clock, and does not perturb the replay accounting.
+/// on a run-global clock, and does not perturb the replay accounting. The
+/// slices cover every issue-port tick the profile counts, escalation
+/// retries included.
 #[test]
 fn sched_tracks_are_opt_in_and_consistent() {
     let ds = paper_dataset(21, 0.002, 42);
@@ -232,4 +234,23 @@ fn sched_tracks_are_opt_in_and_consistent() {
         assert!(s.sm < sched.sms_used, "slice on SM {} beyond sms_used", s.sm);
         assert!(!s.phase.is_empty(), "unlabelled slice on SM {}", s.sm);
     }
+    let port_ticks = |r: &GpuRunResult| r.sched_tracks.iter().map(|s| s.end - s.start).sum::<u64>();
+    assert_eq!(port_ticks(&tracked), sched.busy_ticks, "slices cover every busy tick");
+
+    // A transient watchdog trip forces exactly one escalation retry; its
+    // replay shifts the run clock, so its slices must land in the tracks.
+    cfg.sched_tracks = true;
+    cfg.fault = Some(FaultPlan::watchdog(2));
+    let retried = run_local_assembly(&ds, &cfg);
+    assert_eq!(
+        retried.outcomes.iter().filter(|o| **o == JobOutcome::Recovered { attempts: 1 }).count(),
+        1,
+        "the plan must force exactly one retry"
+    );
+    let sched = retried.profile.phases.sched.expect("sched profile");
+    assert_eq!(
+        port_ticks(&retried),
+        sched.busy_ticks,
+        "the retry's slices must not drop out of the SM tracks"
+    );
 }

@@ -60,7 +60,7 @@ pub use mem::{AllocError, GlobalMem};
 pub use san::{SanFinding, SanKind, SanReport, SanitizerConfig};
 pub use sched::{
     schedule, PhaseSched, SchedConfig, SchedResult, SmSlice, TimeQueue, TimelineEvent,
-    TimelineRecorder, WarpTimeline,
+    TimelineIter, TimelineRecorder, WarpTimeline,
 };
 pub use trace::{Event, EventKind, Span, TraceSink, WarpTrace};
 pub use warp::{ExecMode, Warp};

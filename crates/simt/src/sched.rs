@@ -34,7 +34,9 @@ use memhier::MemLevel;
 use std::cmp::Reverse;
 use std::collections::BinaryHeap;
 
-/// One recorded occurrence on a warp's deterministic instruction clock.
+/// One recorded occurrence on a warp's deterministic instruction clock —
+/// the decoded view of a [`WarpTimeline`] word (see
+/// [`WarpTimeline::iter`]).
 ///
 /// `at` is the warp's cumulative `warp_instructions` count *after* the
 /// instruction that produced the event — the same clock the tracing layer
@@ -63,17 +65,87 @@ pub enum TimelineEvent {
     },
 }
 
+// Packed timeline words. Each event is one `u32`: the low `TAG_BITS`
+// say what happened, the high `DELTA_BITS` hold the instruction-clock
+// delta since the previous event. A delta wider than the field is split
+// into `TAG_CONT` words carrying its higher 29-bit chunks, most
+// significant first; the event word itself carries the lowest chunk.
+const TAG_BITS: u32 = 3;
+const TAG_MASK: u32 = (1 << TAG_BITS) - 1;
+const DELTA_BITS: u32 = 32 - TAG_BITS;
+const DELTA_MASK: u64 = (1 << DELTA_BITS) - 1;
+const TAG_L1: u32 = 0;
+const TAG_L2: u32 = 1;
+const TAG_HBM: u32 = 2;
+const TAG_ENTER: u32 = 3;
+const TAG_EXIT: u32 = 4;
+const TAG_CONT: u32 = 5;
+
 /// The recorded execution of one warp: every memory instruction with its
 /// resolved hierarchy level, phase boundaries, and the final instruction
 /// count. Compute segments are implicit — the clock gaps between events.
+///
+/// Events are stored packed, 4 bytes each: a 3-bit tag (memory access at
+/// L1/L2/HBM, phase enter, phase exit, or continuation) under a 29-bit
+/// clock delta. Phase-enter names live in a side list, in entry order.
+/// Decode with [`WarpTimeline::iter`].
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct WarpTimeline {
     /// Launch-order warp id (job index within the launch).
     pub warp_id: u64,
     /// Total warp instructions the warp issued.
     pub total_instructions: u64,
-    /// Events in clock order.
-    pub events: Vec<TimelineEvent>,
+    /// Packed event words in clock order. `len()` is the number of
+    /// recorded events, plus one continuation word per 29-bit chunk of
+    /// any gap of 2^29 or more instructions.
+    pub events: Vec<u32>,
+    /// Names of the phase-enter events, in order.
+    phase_names: Vec<&'static str>,
+}
+
+impl WarpTimeline {
+    /// Decode the recorded events, in clock order.
+    pub fn iter(&self) -> TimelineIter<'_> {
+        TimelineIter { words: self.events.iter(), names: self.phase_names.iter(), clock: 0 }
+    }
+}
+
+/// Decoding iterator over a [`WarpTimeline`]'s packed words (see
+/// [`WarpTimeline::iter`]).
+#[derive(Debug, Clone)]
+pub struct TimelineIter<'a> {
+    words: std::slice::Iter<'a, u32>,
+    names: std::slice::Iter<'a, &'static str>,
+    /// Clock of the last decoded event.
+    clock: u64,
+}
+
+impl Iterator for TimelineIter<'_> {
+    type Item = TimelineEvent;
+
+    fn next(&mut self) -> Option<TimelineEvent> {
+        let mut delta = 0u64;
+        loop {
+            let word = *self.words.next()?;
+            delta = (delta << DELTA_BITS) | (word >> TAG_BITS) as u64;
+            let tag = word & TAG_MASK;
+            if tag == TAG_CONT {
+                continue;
+            }
+            self.clock += delta;
+            let at = self.clock;
+            return Some(match tag {
+                TAG_L1 => TimelineEvent::Mem { at, level: MemLevel::L1 },
+                TAG_L2 => TimelineEvent::Mem { at, level: MemLevel::L2 },
+                TAG_HBM => TimelineEvent::Mem { at, level: MemLevel::Hbm },
+                TAG_ENTER => TimelineEvent::PhaseEnter {
+                    name: self.names.next().copied().unwrap_or(OUTSIDE),
+                    at,
+                },
+                _ => TimelineEvent::PhaseExit { at },
+            });
+        }
+    }
 }
 
 /// Records a [`WarpTimeline`] during execution — attached to a warp the
@@ -81,34 +153,64 @@ pub struct WarpTimeline {
 #[derive(Debug, Default)]
 pub struct TimelineRecorder {
     timeline: WarpTimeline,
+    /// Clock of the last recorded event (the base of the next delta).
+    last_at: u64,
 }
 
 impl TimelineRecorder {
     /// Fresh recorder for the warp at `warp_id` (launch job order).
     pub fn new(warp_id: u64) -> Self {
-        TimelineRecorder { timeline: WarpTimeline { warp_id, ..Default::default() } }
+        TimelineRecorder { timeline: WarpTimeline { warp_id, ..Default::default() }, last_at: 0 }
+    }
+
+    /// Append one event word (plus continuation words for a wide gap).
+    fn push(&mut self, at: u64, tag: u32) {
+        debug_assert!(at >= self.last_at, "timeline events must be recorded in clock order");
+        let gap = at - self.last_at;
+        self.last_at = at;
+        let words = &mut self.timeline.events;
+        if gap > DELTA_MASK {
+            let mut shift = DELTA_BITS;
+            while gap >> shift > DELTA_MASK {
+                shift += DELTA_BITS;
+            }
+            while shift > 0 {
+                words.push((((gap >> shift) & DELTA_MASK) as u32) << TAG_BITS | TAG_CONT);
+                shift -= DELTA_BITS;
+            }
+        }
+        words.push(((gap & DELTA_MASK) as u32) << TAG_BITS | tag);
     }
 
     /// Record a memory instruction that resolved at `level`, issued at
     /// post-increment clock `at`.
     pub fn record_mem(&mut self, at: u64, level: MemLevel) {
-        self.timeline.events.push(TimelineEvent::Mem { at, level });
+        let tag = match level {
+            MemLevel::L1 => TAG_L1,
+            MemLevel::L2 => TAG_L2,
+            MemLevel::Hbm => TAG_HBM,
+        };
+        self.push(at, tag);
     }
 
     /// Record a phase entry.
     pub fn record_phase_enter(&mut self, name: &'static str, at: u64) {
-        self.timeline.events.push(TimelineEvent::PhaseEnter { name, at });
+        self.push(at, TAG_ENTER);
+        self.timeline.phase_names.push(name);
     }
 
     /// Record a phase exit.
     pub fn record_phase_exit(&mut self, at: u64) {
-        self.timeline.events.push(TimelineEvent::PhaseExit { at });
+        self.push(at, TAG_EXIT);
     }
 
     /// Finish recording: seal the total instruction count and return the
-    /// timeline.
+    /// timeline, its words shrunk to exact size (a launch holds every
+    /// warp's timeline until the replay, so growth slack would add up).
+    /// The phase-name list holds a handful of entries and is left as is.
     pub fn finish(mut self, total_instructions: u64) -> WarpTimeline {
         self.timeline.total_instructions = total_instructions;
+        self.timeline.events.shrink_to_fit();
         self.timeline
     }
 }
@@ -335,11 +437,11 @@ impl SchedResult {
     }
 }
 
-/// The replay state of one warp walking its timeline.
+/// The replay state of one warp walking its timeline's packed words.
 struct WarpState<'a> {
     timeline: &'a WarpTimeline,
-    /// Index of the next unconsumed event.
-    next_event: usize,
+    /// Decoder positioned at the next unconsumed event.
+    events: std::iter::Peekable<TimelineIter<'a>>,
     /// Instruction clock consumed so far.
     clock: u64,
     /// Phase-name stack (innermost last).
@@ -350,7 +452,12 @@ const OUTSIDE: &str = "(outside)";
 
 impl<'a> WarpState<'a> {
     fn new(timeline: &'a WarpTimeline) -> Self {
-        WarpState { timeline, next_event: 0, clock: 0, phase_stack: Vec::new() }
+        WarpState {
+            timeline,
+            events: timeline.iter().peekable(),
+            clock: 0,
+            phase_stack: Vec::new(),
+        }
     }
 
     fn phase(&self) -> &'static str {
@@ -359,18 +466,17 @@ impl<'a> WarpState<'a> {
 
     /// Consume zero-width phase markers at the current position.
     fn consume_markers(&mut self) {
-        while let Some(e) = self.timeline.events.get(self.next_event) {
-            match *e {
+        while let Some(&e) = self.events.peek() {
+            match e {
                 TimelineEvent::PhaseEnter { name, at } if at <= self.clock => {
                     self.phase_stack.push(name);
-                    self.next_event += 1;
                 }
                 TimelineEvent::PhaseExit { at } if at <= self.clock => {
                     self.phase_stack.pop();
-                    self.next_event += 1;
                 }
                 _ => break,
             }
+            self.events.next();
         }
     }
 
@@ -383,10 +489,10 @@ impl<'a> WarpState<'a> {
     /// step is attributed to the phase it issues under.
     fn next_step(&mut self) -> Option<(u64, Option<MemLevel>)> {
         self.consume_markers();
-        if let Some(e) = self.timeline.events.get(self.next_event) {
-            match *e {
+        if let Some(&e) = self.events.peek() {
+            match e {
                 TimelineEvent::Mem { at, level } => {
-                    self.next_event += 1;
+                    self.events.next();
                     let instructions = at - self.clock;
                     self.clock = at;
                     return Some((instructions, Some(level)));
@@ -841,5 +947,141 @@ mod sched_tests {
         assert_eq!(t.warp_id, 7);
         let r = schedule(std::slice::from_ref(&t), &cfg(1, 1));
         assert_eq!(r.issue_ticks(), t.total_instructions * 10);
+    }
+}
+
+#[cfg(test)]
+mod codec_tests {
+    use super::*;
+    use proptest::prelude::*;
+
+    const NAMES: [&str; 3] = ["construct", "walk", "stage"];
+
+    /// A gap drawn from one of four classes: short (the real-workload
+    /// regime), straddling the 2^29 delta-field limit, at least 2^32, and
+    /// anywhere below 2^40 (small enough that replay ticks fit a `u64`;
+    /// two-continuation gaps are pinned by the unit test below).
+    fn gap(class: u8, raw: u64) -> u64 {
+        match class {
+            0 => raw % 1024,
+            1 => (1 << DELTA_BITS) - 2 + raw % 4,
+            2 => (1 << 32) + raw % (1 << 32),
+            _ => raw >> 24,
+        }
+    }
+
+    fn cfg() -> SchedConfig {
+        SchedConfig {
+            sms: 1,
+            residency: 1,
+            issue_ticks: 10,
+            l1_ticks: 20,
+            l2_ticks: 140,
+            hbm_ticks: 480,
+            record_tracks: false,
+        }
+    }
+
+    proptest! {
+        /// Random mem/enter/exit sequences, with gaps up to 2^40 and
+        /// nested phases, decode exactly; the sealed word vector is
+        /// exact-size; and the replay consumes exactly the recorded
+        /// instructions and latencies.
+        #[test]
+        fn packed_timelines_decode_exactly(
+            ops in proptest::collection::vec((0u8..5, 0u8..4, any::<u64>()), 0..48),
+            tail in 0u64..100,
+        ) {
+            let mut rec = TimelineRecorder::new(9);
+            let mut expected = Vec::new();
+            let mut clock = 0u64;
+            let mut depth = 0usize;
+            let mut wide = false;
+            let mut stall = 0u64;
+            for (i, &(kind, class, raw)) in ops.iter().enumerate() {
+                let g = gap(class, raw);
+                wide |= g > DELTA_MASK;
+                clock += g;
+                let event = match kind {
+                    0..=2 => {
+                        let level = [MemLevel::L1, MemLevel::L2, MemLevel::Hbm][kind as usize];
+                        stall += cfg().latency_ticks(level);
+                        rec.record_mem(clock, level);
+                        TimelineEvent::Mem { at: clock, level }
+                    }
+                    4 if depth > 0 => {
+                        depth -= 1;
+                        rec.record_phase_exit(clock);
+                        TimelineEvent::PhaseExit { at: clock }
+                    }
+                    _ => {
+                        depth += 1;
+                        let name = NAMES[i % NAMES.len()];
+                        rec.record_phase_enter(name, clock);
+                        TimelineEvent::PhaseEnter { name, at: clock }
+                    }
+                };
+                expected.push(event);
+            }
+            let t = rec.finish(clock + tail);
+            let decoded: Vec<TimelineEvent> = t.iter().collect();
+            prop_assert_eq!(&decoded, &expected);
+            prop_assert!(t.events.len() >= expected.len());
+            if !wide {
+                prop_assert_eq!(t.events.len(), expected.len());
+            }
+            prop_assert_eq!(t.events.capacity(), t.events.len(), "sealed timeline is exact-size");
+
+            let r = schedule(std::slice::from_ref(&t), &cfg());
+            prop_assert_eq!(r.issue_ticks(), t.total_instructions * 10);
+            prop_assert_eq!(r.busy_ticks, t.total_instructions * 10);
+            prop_assert_eq!(r.stall_ticks(), stall);
+        }
+    }
+
+    #[test]
+    fn empty_timelines_decode_to_nothing() {
+        let t = TimelineRecorder::new(0).finish(0);
+        assert!(t.events.is_empty());
+        assert_eq!(t.iter().next(), None);
+        // No events but a clock: one compute segment, all "(outside)".
+        let t = TimelineRecorder::new(0).finish(100);
+        assert_eq!(t.iter().count(), 0);
+        let r = schedule(std::slice::from_ref(&t), &cfg());
+        assert_eq!(r.phase("(outside)").unwrap().issue_ticks, 1000);
+    }
+
+    /// Gaps at and beyond the delta field take continuation words — one
+    /// per extra 29-bit chunk — and still replay to exactly
+    /// `total_instructions × issue_ticks` issue ticks.
+    #[test]
+    fn overflow_gaps_take_continuation_words_and_replay_exactly() {
+        let mut rec = TimelineRecorder::new(0);
+        rec.record_phase_enter("walk", 0);
+        rec.record_mem(DELTA_MASK, MemLevel::L1); // fits: 1 word
+        rec.record_mem(DELTA_MASK + (1 << DELTA_BITS), MemLevel::Hbm); // 2 words
+        let far = DELTA_MASK + (1 << DELTA_BITS) + (1 << 60);
+        rec.record_phase_exit(far); // 3 words
+        let t = rec.finish(far + 5);
+        assert_eq!(t.events.len(), 1 + 1 + 2 + 3);
+        assert_eq!(
+            t.iter().collect::<Vec<_>>(),
+            [
+                TimelineEvent::PhaseEnter { name: "walk", at: 0 },
+                TimelineEvent::Mem { at: DELTA_MASK, level: MemLevel::L1 },
+                TimelineEvent::Mem { at: DELTA_MASK + (1 << DELTA_BITS), level: MemLevel::Hbm },
+                TimelineEvent::PhaseExit { at: far },
+            ]
+        );
+
+        let mut rec = TimelineRecorder::new(0);
+        rec.record_phase_enter("walk", 0);
+        rec.record_mem(1 << 33, MemLevel::L2);
+        rec.record_phase_exit((1 << 33) + 7);
+        let t = rec.finish((1 << 33) + 9);
+        let r = schedule(std::slice::from_ref(&t), &cfg());
+        assert_eq!(r.issue_ticks(), t.total_instructions * 10);
+        assert_eq!(r.phase("walk").unwrap().issue_ticks, ((1 << 33) + 7) * 10);
+        assert_eq!(r.phase("walk").unwrap().stall_ticks, 140);
     }
 }

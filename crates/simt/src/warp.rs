@@ -849,9 +849,8 @@ mod tests {
         assert_eq!(t.warp_id, 3);
         assert_eq!(t.total_instructions, w.counters.warp_instructions);
         let mems: Vec<_> = t
-            .events
             .iter()
-            .filter_map(|e| match *e {
+            .filter_map(|e| match e {
                 crate::sched::TimelineEvent::Mem { at, level } => Some((at, level)),
                 _ => None,
             })
