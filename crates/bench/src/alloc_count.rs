@@ -76,11 +76,12 @@ pub fn snapshot() -> AllocSnapshot {
 }
 
 /// Serializes windows that read the process-global counters against any
-/// other allocation-heavy work in the same process. Tests that compare
-/// [`snapshot`] deltas (the pool-bench smoke tests) must hold this while
-/// measuring, and long allocating tests (the resize-bench determinism
-/// run) must hold it too — otherwise the harness interleaves them and
-/// the bystander's allocations land inside the measured delta.
+/// other allocation-heavy work in the same process. Code that compares
+/// [`snapshot`] deltas (the host-throughput tests, the benchmark's
+/// measured runs) must hold this while measuring, and long allocating
+/// work sharing the process must hold it too — otherwise the harness
+/// interleaves them and the bystander's allocations land inside the
+/// measured delta.
 pub fn measurement_lock() -> MutexGuard<'static, ()> {
     static LOCK: Mutex<()> = Mutex::new(());
     LOCK.lock().unwrap_or_else(PoisonError::into_inner)

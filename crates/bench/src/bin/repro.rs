@@ -798,7 +798,7 @@ fn sanitize_run(args: &Args) {
 /// flat CSV next to it). See EXPERIMENTS.md § "Scheduled execution &
 /// occupancy" and docs/TIMING.md for what each column means.
 fn sched_run(args: &Args) {
-    use locassm_bench::schedbench::sched_bench;
+    use locassm_bench::modeled::{sched, slug, Rows};
 
     // Timelines pack each memory touch into one 4-byte word (the k=77,
     // scale-0.5 MI250X benchmark workload records 21.4 M of them and peaks
@@ -813,10 +813,12 @@ fn sched_run(args: &Args) {
              per issue segment; the replay's host time grows with both)"
         );
     }
-    let r = sched_bench(21, scale, args.seed);
+    let mut rows = Rows::default();
+    sched(&mut rows, scale, args.seed);
     println!(
         "## Scheduled execution — k={}, {} contigs (modeled, deterministic)\n",
-        r.k, r.contigs
+        rows.get("sched.k"),
+        rows.get("sched.contigs")
     );
     let mut t = Table::new("Analytic vs scheduled modeled time, with replay counters").header([
         "device",
@@ -828,16 +830,17 @@ fn sched_run(args: &Args) {
         "occupancy",
         "hidden",
     ]);
-    for d in &r.dialects {
+    for device in DeviceId::ALL {
+        let get = |field: &str| rows.get(&format!("sched.{}.{field}", slug(device)));
         t.row([
-            format!("{} ({})", d.device, d.dialect),
-            f(d.analytic_seconds, 6),
-            f(d.scheduled_seconds, 6),
-            format!("{:.2}x", d.time_ratio()),
-            d.sched.sms_used.to_string(),
-            d.sched.residency.to_string(),
-            pct(d.sched.occupancy()),
-            pct(d.sched.latency_hidden_fraction()),
+            format!("{device} ({})", locassm_kernels::Dialect::native_for(device)),
+            f(get("analytic_s"), 6),
+            f(get("scheduled_s"), 6),
+            format!("{:.2}x", get("ratio")),
+            get("sms_used").to_string(),
+            get("residency").to_string(),
+            pct(get("occupancy")),
+            pct(get("latency_hidden_fraction")),
         ]);
     }
     println!("{}", t.render());

@@ -1,14 +1,7 @@
 //! Benchmark harness crate: see `src/bin/repro.rs` for the table/figure
-//! regeneration binary, `benches/` for the criterion suites,
-//! [`poolbench`] for the pooled-launch-engine throughput report
-//! (`BENCH_kernels.json`, regenerated by the `bench-kernels` binary),
-//! [`schedbench`] for the analytic-vs-scheduled timing comparison
-//! (`BENCH_sched.json`, same binary), [`layoutbench`] for the
-//! table-layout comparison (`BENCH_layouts.json`, same binary),
-//! [`resizebench`] for the grown-reserve-escalation vs in-kernel-resize
-//! comparison (`BENCH_resize.json`, same binary), and [`servicebench`]
-//! for the assembly-as-a-service latency/throughput sweep
-//! (`BENCH_service.json`, same binary).
+//! regeneration binary, `benches/` for the criterion suites, and
+//! [`modeled`] for the deterministic scenarios behind the committed
+//! `BENCH_modeled.json` golden, which tier-1 diffs exactly.
 //!
 //! Every binary and test in this crate runs under [`alloc_count`]'s
 //! counting global allocator so allocation deltas (the pooled engine's
@@ -16,11 +9,7 @@
 
 pub mod alloc_count;
 pub mod cli;
-pub mod layoutbench;
-pub mod poolbench;
-pub mod resizebench;
-pub mod schedbench;
-pub mod servicebench;
+pub mod modeled;
 
 #[global_allocator]
 static GLOBAL: alloc_count::CountingAlloc = alloc_count::CountingAlloc;
