@@ -358,10 +358,19 @@ mod tests {
         }
         let expected = std::fs::read_to_string(GOLDEN_PATH)
             .expect("BENCH_modeled.json missing; regenerate with UPDATE_GOLDEN=1");
-        assert_eq!(
-            actual, expected,
-            "modeled rows drifted from BENCH_modeled.json; if intentional, \
-             regenerate with UPDATE_GOLDEN=1"
+        let drift: Vec<String> = actual
+            .lines()
+            .zip(expected.lines())
+            .filter(|(a, e)| a != e)
+            .map(|(a, e)| format!("  now {a}\n  was {e}"))
+            .collect();
+        assert!(
+            actual == expected,
+            "modeled rows drifted from BENCH_modeled.json ({} vs {} lines); if intentional, \
+             regenerate with UPDATE_GOLDEN=1:\n{}",
+            actual.lines().count(),
+            expected.lines().count(),
+            drift.join("\n")
         );
     }
 
@@ -439,9 +448,10 @@ mod tests {
     }
 
     /// In-kernel resizing absorbs the ÷3 squeeze that costs the ladder a
-    /// whole-job re-run.
+    /// whole-job re-run, and that re-run is priced: no escalation arm can
+    /// be cheaper than the clean run it re-executes.
     #[test]
-    fn resize_retires_the_ladder() {
+    fn resize_retires_the_ladder_and_retries_are_priced() {
         let r = rows();
         assert!(
             r.get("resize.div3.escalation_attempts") >= 1.0,
@@ -462,6 +472,11 @@ mod tests {
                 assert!(r.get(&format!("{p}_intops")) > 0.0, "{p}");
                 assert!(r.get(&format!("{p}_hbm_bytes")) > 0.0, "{p}");
             }
+            let escalation = r.get(&format!("resize.div{d}.escalation_s"));
+            assert!(
+                escalation >= clean,
+                "÷{d}: the ladder's {escalation}s must not undercut the clean run's {clean}s"
+            );
         }
     }
 }

@@ -24,8 +24,8 @@ use locassm_core::io::Dataset;
 use locassm_core::walk::WalkConfig;
 use locassm_core::{bin_contigs, BinningPolicy, ExtensionResult, RetryPolicy};
 use simt::{
-    launch_warps, AggCounters, ExecMode, FaultPlan, LaunchConfig, SanReport, SanitizerConfig,
-    WarpCounters,
+    launch_warps, AggCounters, ExecMode, FaultPlan, LaunchConfig, LaunchOutput, SanReport,
+    SanitizerConfig, WarpCounters,
 };
 
 /// Configuration of a simulated GPU run.
@@ -237,21 +237,17 @@ fn escalation_ladder(
 /// arena hint is recomputed for the grown slot reserve; the injection
 /// plan stays armed for attempt indices `0..plan.attempts` (the batch run
 /// was attempt 0), so a transient plan clears on the first retry while a
-/// persistent one keeps faulting until the ladder is exhausted. Retry
-/// counters, traces, scheduled replays and their SM track slices merge
-/// into the run totals.
-#[allow(clippy::too_many_arguments)]
+/// persistent one keeps faulting until the ladder is exhausted. Every
+/// attempt is folded into the ledger like a batch launch, under the
+/// faulted job's batch `band`.
 fn escalate_job(
     cfg: &GpuConfig,
     spec: &DeviceSpec,
     job: &KernelJob<'_>,
     victim_id: u64,
     first_fault: KernelFault,
-    traces: &mut Vec<simt::WarpTrace>,
-    total: &mut AggCounters,
-    phases: &mut PhaseCounters,
-    san: &mut SanReport,
-    sched_tracks: &mut Vec<simt::SmSlice>,
+    band: usize,
+    ledger: &mut Ledger,
 ) -> (JobOutcome, Option<KernelOut>) {
     let mut fault = first_fault;
     let mut grown = matches!(fault, KernelFault::HashTableFull { .. });
@@ -290,21 +286,9 @@ fn escalate_job(
             exec: cfg.exec,
         };
         let out = launch_warps(launch_cfg, std::slice::from_ref(&retry), run_extension);
-        for mut t in out.traces {
-            t.warp_id = traces.len() as u64;
-            traces.push(t);
-        }
-        for r in out.san {
-            san.merge(r);
-        }
-        total.merge(&out.counters);
-        // Retries replay too (a single resident warp hides nothing), so
-        // the run's scheduled profile and SM tracks cover every launched
-        // instruction.
-        schedule_launch(spec, &out.timelines, 1, cfg.sched_tracks, phases, sched_tracks);
-        let instr = out.warp_instruction_counts;
-        let results = out.results;
-        fold_phases(phases, cfg.width, &results, &instr, &out.counters);
+        // A single resident warp hides nothing: the retry replays at
+        // residency 1.
+        let results = ledger.fold(spec, cfg, out, 1, band);
         match results.into_iter().next() {
             // A single-job launch always yields one result; an empty
             // result set would mean the engine dropped the job, which
@@ -327,6 +311,92 @@ fn escalate_job(
         }
     }
     (JobOutcome::Failed { fault, attempts }, None)
+}
+
+/// Everything a run accumulates across its launches. Batch launches and
+/// escalation retries alike go through [`Ledger::fold`], so counters,
+/// phase split, traces, sanitizer findings, scheduled replays and modeled
+/// seconds all cover the same set of launches.
+#[derive(Default)]
+struct Ledger {
+    total: AggCounters,
+    phases: PhaseCounters,
+    batches: Vec<BatchProfile>,
+    traces: Vec<simt::WarpTrace>,
+    san: SanReport,
+    sched_tracks: Vec<simt::SmSlice>,
+}
+
+impl Ledger {
+    /// Fold one launch into the run: renumber its traces onto run-global
+    /// warp ids, merge its sanitizer reports and counters, replay its
+    /// timelines at `residency`, split its phases, price it and push its
+    /// [`BatchProfile`] under `band`. Returns the launch's per-job results.
+    fn fold(
+        &mut self,
+        spec: &DeviceSpec,
+        cfg: &GpuConfig,
+        out: LaunchOutput<Result<KernelOut, KernelFault>>,
+        residency: u32,
+        band: usize,
+    ) -> Vec<Result<KernelOut, KernelFault>> {
+        for mut t in out.traces {
+            t.warp_id = self.traces.len() as u64;
+            self.traces.push(t);
+        }
+        for r in out.san {
+            self.san.merge(r);
+        }
+
+        // Phase split: construct snapshots summed; walk = total − construct.
+        // The walk phase's critical path (max_warp_instructions) is
+        // attributed per warp: each warp's walk segment is its total
+        // instruction stream minus its construct-boundary snapshot.
+        let (construct, walk_agg) = fold_phases(
+            &mut self.phases,
+            cfg.width,
+            &out.results,
+            &out.warp_instruction_counts,
+            &out.counters,
+        );
+
+        // Scheduled replay: interleave the recorded warp timelines through
+        // per-SM issue ports. Non-Scheduled runs record no timelines and
+        // skip this entirely.
+        let sched = schedule_launch(
+            spec,
+            &out.timelines,
+            residency,
+            cfg.sched_tracks,
+            &mut self.phases,
+            &mut self.sched_tracks,
+        );
+
+        // Per-phase timing: construction overlaps memory at the device's
+        // MLP; the mer-walk is a single-lane dependence chain (MLP ≈ 1).
+        let t_construct = TimeEstimate::estimate(spec, &ModelParams::from_counters(&construct));
+        let mut t_walk =
+            TimeEstimate::estimate_with_mlp(spec, &ModelParams::from_counters(&walk_agg), 1.0);
+        if let Some(r) = &sched {
+            // Replace the analytic walk latency term with the replay's
+            // measured un-hidden stall time.
+            t_walk = t_walk.with_latency_override(walk_latency_override(r));
+        }
+        let time = TimeEstimate {
+            seconds: t_construct.seconds + t_walk.seconds,
+            compute_seconds: t_construct.compute_seconds + t_walk.compute_seconds,
+            bandwidth_seconds: t_construct.bandwidth_seconds + t_walk.bandwidth_seconds,
+            latency_seconds: t_construct.latency_seconds + t_walk.latency_seconds,
+            bound: if t_construct.seconds >= t_walk.seconds {
+                t_construct.bound
+            } else {
+                t_walk.bound
+            },
+        };
+        self.batches.push(BatchProfile { band, warps: out.counters.warps, time });
+        self.total.merge(&out.counters);
+        out.results
+    }
 }
 
 /// Replay a `Scheduled`-mode launch's recorded timelines through the
@@ -419,17 +489,12 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
 
     let batches = bin_contigs(&ds.jobs, cfg.binning);
 
-    let mut total = AggCounters::default();
-    let mut phases = PhaseCounters::default();
-    let mut batch_profiles = Vec::new();
-    let mut traces: Vec<simt::WarpTrace> = Vec::new();
+    let mut ledger = Ledger::default();
     // Run-global job numbering (batches × {right, left} × job order) —
     // the id space fault plans target. Escalation retries are not
     // counted, so ids are stable whether or not earlier jobs faulted.
     let mut jobs_launched: u64 = 0;
     let mut outcomes: Vec<JobOutcome> = vec![JobOutcome::Ok; ds.jobs.len()];
-    let mut san = SanReport::default();
-    let mut sched_tracks: Vec<simt::SmSlice> = Vec::new();
     let sanitize = dialect_sanitizer(cfg.sanitize, cfg.dialect);
 
     // Results indexed by job position.
@@ -543,91 +608,32 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                 };
                 let out = launch_warps(launch_cfg, jobs_chunk, run_extension);
                 jobs_launched += jobs_chunk.len() as u64;
-                // Re-number warp ids to be unique across batches and sides.
-                for mut t in out.traces {
-                    t.warp_id = traces.len() as u64;
-                    traces.push(t);
-                }
-                for r in out.san {
-                    san.merge(r);
-                }
-
-                // Phase split: construct snapshots summed; walk = total − construct.
-                // The walk phase's critical path (max_warp_instructions) is
-                // attributed per warp: each warp's walk segment is its total
-                // instruction stream minus its construct-boundary snapshot.
-                let (construct, walk_agg) = fold_phases(
-                    &mut phases,
-                    cfg.width,
-                    &out.results,
-                    &out.warp_instruction_counts,
-                    &out.counters,
-                );
-
-                // Scheduled replay: interleave the recorded warp timelines
-                // through per-SM issue ports at a residency the chunk's
-                // staged footprint supports in its L2 share. Non-Scheduled
-                // runs record no timelines and skip this entirely.
-                let sched = {
-                    let footprint = jobs_chunk
-                        .iter()
-                        .map(|j| {
-                            stage_footprint(
-                                j.contig.len(),
-                                &j.reads,
-                                j.k,
-                                j.walk,
-                                j.slot_reserve,
-                                j.layout,
-                                j.resize,
-                            )
-                        })
-                        .max()
-                        .unwrap_or(0);
-                    schedule_launch(
-                        spec,
-                        &out.timelines,
-                        scheduled_residency(spec, footprint),
-                        cfg.sched_tracks,
-                        &mut phases,
-                        &mut sched_tracks,
-                    )
-                };
-
-                // Per-phase timing: construction overlaps memory at the
-                // device's MLP; the mer-walk is a single-lane dependence chain
-                // (MLP ≈ 1).
-                let t_construct =
-                    TimeEstimate::estimate(spec, &ModelParams::from_counters(&construct));
-                let mut t_walk = TimeEstimate::estimate_with_mlp(
+                // The replay's residency is what the chunk's largest staged
+                // footprint supports in its L2 share.
+                let footprint = jobs_chunk
+                    .iter()
+                    .map(|j| {
+                        stage_footprint(
+                            j.contig.len(),
+                            &j.reads,
+                            j.k,
+                            j.walk,
+                            j.slot_reserve,
+                            j.layout,
+                            j.resize,
+                        )
+                    })
+                    .max()
+                    .unwrap_or(0);
+                let results = ledger.fold(
                     spec,
-                    &ModelParams::from_counters(&walk_agg),
-                    1.0,
+                    cfg,
+                    out,
+                    scheduled_residency(spec, footprint),
+                    batch.band,
                 );
-                if let Some(r) = &sched {
-                    // Replace the analytic walk latency term with the
-                    // replay's measured un-hidden stall time.
-                    t_walk = t_walk.with_latency_override(walk_latency_override(r));
-                }
-                let time = TimeEstimate {
-                    seconds: t_construct.seconds + t_walk.seconds,
-                    compute_seconds: t_construct.compute_seconds + t_walk.compute_seconds,
-                    bandwidth_seconds: t_construct.bandwidth_seconds + t_walk.bandwidth_seconds,
-                    latency_seconds: t_construct.latency_seconds + t_walk.latency_seconds,
-                    bound: if t_construct.seconds >= t_walk.seconds {
-                        t_construct.bound
-                    } else {
-                        t_walk.bound
-                    },
-                };
-                batch_profiles.push(BatchProfile {
-                    band: batch.band,
-                    warps: out.counters.warps,
-                    time,
-                });
-                total.merge(&out.counters);
 
-                for (local, (&idx, r)) in idx_chunk.iter().zip(out.results).enumerate() {
+                for (local, (&idx, r)) in idx_chunk.iter().zip(results).enumerate() {
                     let (outcome, o) = match r {
                         Ok(o) => (JobOutcome::Ok, Some(o)),
                         Err(fault) => {
@@ -640,11 +646,8 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                                 &jobs_chunk[local],
                                 side_base + local as u64,
                                 fault,
-                                &mut traces,
-                                &mut total,
-                                &mut phases,
-                                &mut san,
-                                &mut sched_tracks,
+                                batch.band,
+                                &mut ledger,
                             )
                         }
                     };
@@ -681,14 +684,14 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
             device: cfg.device,
             dialect: cfg.dialect,
             k,
-            total,
-            phases,
-            batches: batch_profiles,
+            total: ledger.total,
+            phases: ledger.phases,
+            batches: ledger.batches,
         },
-        traces,
+        traces: ledger.traces,
         outcomes,
-        san,
-        sched_tracks,
+        san: ledger.san,
+        sched_tracks: ledger.sched_tracks,
     }
 }
 
@@ -1099,6 +1102,27 @@ mod tests {
         let r = run_local_assembly(&ds, &cfg);
         assert_eq!(r.profile.phases.watchdog_trips, 1);
         assert!(r.profile.phases.walk_budget > 0);
+    }
+
+    /// Escalation retries are launches like any other: each one is priced
+    /// into its own batch profile, so the profiles cover exactly the warps
+    /// the run's totals count, and a retry never makes a run cheaper.
+    #[test]
+    fn escalation_retries_are_priced_launches() {
+        let ds = small_ds();
+        let mut cfg = GpuConfig::for_device(DeviceId::A100);
+        let clean = run_local_assembly(&ds, &cfg).profile;
+        cfg.fault = Some(FaultPlan::watchdog(2));
+        let p = run_local_assembly(&ds, &cfg).profile;
+        let priced: u64 = p.batches.iter().map(|b| b.warps).sum();
+        assert_eq!(priced, p.total.warps, "every launched warp is priced");
+        assert_eq!(p.batches.len(), clean.batches.len() + 1, "the retry is its own launch");
+        assert!(
+            p.seconds() > clean.seconds(),
+            "a retried run ({}s) must cost more than the clean run ({}s)",
+            p.seconds(),
+            clean.seconds()
+        );
     }
 
     /// The execution-ordering mode follows the dialect: CUDA's independent

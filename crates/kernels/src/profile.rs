@@ -142,10 +142,11 @@ impl SchedProfile {
     }
 }
 
-/// Profile of one batch (one kernel call in the Fig. 3 pipeline).
+/// Profile of one kernel launch: a batch (chunk) launch of the Fig. 3
+/// pipeline, or an escalation retry, which carries its batch's band.
 #[derive(Debug, Clone, Copy)]
 pub struct BatchProfile {
-    /// Binning band (lower read-count bound) this batch came from.
+    /// Binning band (lower read-count bound) this launch came from.
     pub band: usize,
     pub warps: u64,
     pub time: TimeEstimate,
@@ -164,8 +165,9 @@ pub struct KernelProfile {
 }
 
 impl KernelProfile {
-    /// Total kernel time: the sum over kernel calls (they are issued
-    /// back-to-back on one device, as in the paper's measurements).
+    /// Total kernel time: the sum over kernel launches, escalation
+    /// retries included (they are issued back-to-back on one device, as in
+    /// the paper's measurements).
     pub fn seconds(&self) -> f64 {
         self.batches.iter().map(|b| b.time.seconds).sum()
     }
