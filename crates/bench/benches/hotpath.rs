@@ -5,7 +5,7 @@
 //! * `hotpath_exec` — full simulated kernel runs, `scalar` vs
 //!   `vectorized`, one pair per dialect on its native device. The
 //!   acceptance bar (vectorized ≥ 1.15× scalar on CUDA/A100) is enforced
-//!   by the tier-1 smoke test in `poolbench`; this group shows the margin.
+//!   by `crates/bench/tests/host_throughput.rs`; this group shows the margin.
 //! * `hotpath_tuned` — the vectorized engine with paper-default knobs vs
 //!   the autotuned choice (`kernels::tune`, swept once outside the timing
 //!   loop and replayed from its process-wide cache).

@@ -74,10 +74,10 @@ fn bench_launch_pooling(c: &mut Criterion) {
     // The pooled launch engine's throughput bar: `pooled` must stay within
     // noise of `fresh` on wall clock (kernel simulation dominates at this
     // scale; the engine's win is allocator traffic — ~46% fewer heap
-    // allocations and ~83% fewer bytes per warp, measured with the
-    // counting global allocator by the `bench-kernels` binary into
-    // BENCH_kernels.json). Results are bit-identical either way — see the
-    // equivalence tests in locassm-kernels.
+    // allocations and ~83% fewer bytes per warp, measured in PR 6 with
+    // the counting global allocator; `tests/host_throughput.rs` holds the
+    // bar). Results are bit-identical either way — see the equivalence
+    // tests in locassm-kernels.
     let ds = paper_dataset(21, 0.005, 11);
     let mut g = c.benchmark_group("launch_pooling");
     g.sample_size(10);
@@ -99,7 +99,7 @@ fn bench_fault_injection(c: &mut Criterion) {
     // The fault model's acceptance bar: threading `Result` plumbing and
     // the watchdog check through the kernel hot path must cost < 2 % on a
     // fault-free run (compare `fault_free` against the pre-fault-model
-    // `launch_pooling/pooled` numbers in BENCH_kernels.json). The
+    // `launch_pooling/pooled` numbers measured in PR 6). The
     // `plan_unarmed` row carries a fault plan targeting a job id past the
     // end of the run — every per-job arming check executes, nothing
     // fires — and must match `fault_free` within noise; `plan_armed`
@@ -131,7 +131,7 @@ fn bench_fault_injection(c: &mut Criterion) {
 fn bench_sanitizer_overhead(c: &mut Criterion) {
     // The sanitizer's acceptance bar: with every check *off* (the
     // default), the instrumented hot paths cost < 1 % against the
-    // pre-sanitizer numbers in BENCH_kernels.json — each hook is one
+    // pre-sanitizer numbers measured in PR 6 — each hook is one
     // branch on an `Option<Box<SanState>>` that stays `None`. Compare
     // `sanitize_off` against `baseline` (they must agree within noise);
     // `sanitize_on` shows the real cost of shadow-memory tracking, which

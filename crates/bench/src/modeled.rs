@@ -37,7 +37,7 @@ use locassm_service::{run_service, ExtensionRequest, QueueConfig, ServiceConfig}
 use simt::{ExecMode, FaultPlan};
 use std::collections::{BTreeMap, HashSet};
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug)]
 enum Value {
     Int(u64),
     Float(f64),

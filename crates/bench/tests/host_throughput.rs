@@ -83,8 +83,9 @@ fn pooled_engine_cuts_allocations_per_warp() {
 
 /// On CUDA/A100 the vectorized interpreter must be ≥ 1.15× the scalar
 /// fresh-warp baseline, and pooled scalar warps no slower than fresh ones.
-/// Five interleaved rounds with a median keep both ratios robust to
-/// background noise even in unoptimized test builds. Below scale ~0.005
+/// Eleven interleaved rounds with a median keep both ratios robust to
+/// background noise even in unoptimized test builds; five rounds let the
+/// pooled ratio dip to 0.98× on a noisy 2-core host. Below scale ~0.005
 /// fixed per-launch host work drowns the construct/walk phases the bar is
 /// about.
 #[test]
@@ -97,7 +98,7 @@ fn hot_path_meets_the_throughput_bars() {
         a100(true, ExecMode::Vectorized),
     ];
     let mut samples: [Vec<Sample>; 3] = Default::default();
-    for _ in 0..5 {
+    for _ in 0..11 {
         for (slot, cfg) in cfgs.iter().enumerate() {
             samples[slot].push(measure(&ds, cfg, 1));
         }

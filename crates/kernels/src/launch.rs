@@ -625,13 +625,8 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                     })
                     .max()
                     .unwrap_or(0);
-                let results = ledger.fold(
-                    spec,
-                    cfg,
-                    out,
-                    scheduled_residency(spec, footprint),
-                    batch.band,
-                );
+                let results =
+                    ledger.fold(spec, cfg, out, scheduled_residency(spec, footprint), batch.band);
 
                 for (local, (&idx, r)) in idx_chunk.iter().zip(results).enumerate() {
                     let (outcome, o) = match r {
