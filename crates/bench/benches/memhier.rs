@@ -46,6 +46,21 @@ fn bench_sequential_stream(c: &mut Criterion) {
             black_box(acc.transactions())
         })
     });
+    // Hash-probe shaped lanes: 32 addresses in no order, so the coalescer
+    // must sort and dedup (contiguous lanes above never do).
+    let scattered: Vec<(u64, u32)> =
+        (0..32u64).map(|l| ((l * 0x9E37_79B9 % 4099) * 64 + (l % 3) * 4, 4u32)).collect();
+    g.bench_function("warp_coalesce_32_scattered", |b| {
+        b.iter(|| {
+            let acc = coalesce_sectors(black_box(&scattered).iter().copied());
+            black_box(acc.transactions())
+        })
+    });
+    g.bench_function("access_atomic_32_scattered", |b| {
+        let acc = coalesce_sectors(scattered.iter().copied());
+        let mut h = hier();
+        b.iter(|| h.access_atomic(black_box(&acc)))
+    });
     g.finish();
 }
 

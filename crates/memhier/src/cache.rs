@@ -26,51 +26,54 @@ impl SectorOutcome {
     }
 }
 
-#[derive(Debug, Clone)]
-struct Line {
-    /// Line-granular tag (address / line_bytes), or `None` when invalid.
-    tag: Option<u64>,
-    /// Bit i set ⇒ sector i of the line is present.
-    sector_valid: u32,
-    /// Bit i set ⇒ sector i has been written (dirty); used for write-back
-    /// accounting. Meaningful only while `dirty_gen` matches the cache's.
-    sector_dirty: u32,
-    /// LRU timestamp.
-    last_use: u64,
-    /// Generation stamp: the line's contents are meaningful only while this
-    /// matches [`Cache::gen`]; a stale stamp reads as an invalid line. This
-    /// is what makes [`Cache::reset`] O(1) — bumping the cache generation
-    /// invalidates every line without touching it.
-    gen: u64,
-    /// Same scheme for the dirty bits: [`Cache::flush`] bumps
-    /// [`Cache::dirty_gen`] instead of clearing `sector_dirty` per line.
-    dirty_gen: u64,
-}
+/// Tag of an invalid way. Line tags are `addr / line_bytes`, so no access
+/// reaches it (`access_sector` asserts as much).
+const INVALID_TAG: u64 = u64::MAX;
 
-impl Line {
-    fn empty() -> Self {
-        Line { tag: None, sector_valid: 0, sector_dirty: 0, last_use: 0, gen: 0, dirty_gen: 0 }
-    }
+/// Per-line state beside the tag: 16 bytes, so a line costs 24 host bytes.
+#[derive(Debug, Clone, Copy, Default)]
+struct LineMeta {
+    /// LRU timestamp; 0 marks an invalid way (every access ticks first, so
+    /// valid lines hold ≥ 1), which makes "first invalid way, else LRU" a
+    /// plain first-minimum search.
+    last_use: u64,
+    /// Bit i set ⇒ sector i of the line is present.
+    valid: u32,
+    /// Bit i set ⇒ sector i has been written (dirty); used for write-back
+    /// accounting.
+    dirty: u32,
 }
 
 /// One cache level.
+///
+/// Lines are stored set-major in two parallel arrays (`tags` and `meta`).
+/// Each set carries one `(gen, dirty_gen)` stamp: a set whose stamp lags
+/// the cache's generations holds stale contents and is normalized (lines
+/// invalidated, or only dirty bits cleared) on its first touch. That keeps
+/// [`Cache::reset`] and [`Cache::flush`] O(1) without per-line stamps.
 #[derive(Debug, Clone)]
 pub struct Cache {
     cfg: CacheConfig,
-    sets: Vec<Line>,
+    tags: Vec<u64>,
+    meta: Vec<LineMeta>,
+    /// `(gen, dirty_gen)` the set was last normalized under.
+    stamps: Vec<(u64, u64)>,
     tick: u64,
-    /// Geometry derived from `cfg` once at construction — `access_sector`
-    /// is the simulator's innermost loop and recomputing these costs one
-    /// 64-bit division each per access.
+    /// Geometry derived from `cfg` — `access_sector` is the simulator's
+    /// innermost loop and recomputing these costs divisions per access.
     n_sets: u64,
     sectors_per_line: u64,
     /// `log2(sectors_per_line)` when it is a power of two (every real GPU
     /// geometry: 128-byte lines of 32-byte sectors), letting the per-access
     /// line-tag split compile to a shift and mask instead of two divisions.
     spl_shift: Option<u32>,
-    /// Current line generation (see [`Line::gen`]).
+    /// Lemire's fastmod multiplier for `n_sets`: exact for 32-bit line tags,
+    /// replacing the 64-bit division of the set index.
+    set_mul: u64,
+    /// Current line generation; a set stamped with an older one is invalid.
     gen: u64,
-    /// Current dirty-bit generation (see [`Line::dirty_gen`]).
+    /// Current dirty-bit generation; a set stamped with an older one has
+    /// clean lines.
     dirty_gen: u64,
     /// Dirty sectors currently resident, maintained incrementally so
     /// [`Cache::flush`] is O(1) instead of a scan over every line.
@@ -84,31 +87,62 @@ pub struct Cache {
 
 impl Cache {
     pub fn new(cfg: CacheConfig) -> Self {
-        let n = (cfg.sets() * cfg.ways as u64) as usize;
-        Cache {
+        let mut cache = Cache {
             cfg,
-            sets: vec![Line::empty(); n],
+            tags: Vec::new(),
+            meta: Vec::new(),
+            stamps: Vec::new(),
             tick: 0,
-            n_sets: cfg.sets(),
-            sectors_per_line: cfg.sectors_per_line() as u64,
-            spl_shift: (cfg.sectors_per_line() as u64)
-                .is_power_of_two()
-                .then(|| (cfg.sectors_per_line() as u64).trailing_zeros()),
+            n_sets: 0,
+            sectors_per_line: 0,
+            spl_shift: None,
+            set_mul: 0,
             gen: 0,
             dirty_gen: 0,
             dirty_sectors: 0,
             writebacks: 0,
             extra_fills: 0,
-        }
+        };
+        cache.reconfigure(cfg);
+        cache
     }
 
     pub fn config(&self) -> &CacheConfig {
         &self.cfg
     }
 
+    /// Reset into geometry `cfg`: the resulting state is indistinguishable
+    /// from `Cache::new(cfg)`. The line arrays are reused when they are large
+    /// enough; otherwise they are freed before the larger ones are allocated,
+    /// so two line arrays never coexist.
+    pub fn reconfigure(&mut self, cfg: CacheConfig) {
+        let sets = u32::try_from(cfg.sets()).expect("set count fits the 32-bit set index") as usize;
+        let lines = sets * cfg.ways as usize;
+        if lines > self.tags.capacity() {
+            self.tags = Vec::new();
+            self.meta = Vec::new();
+        }
+        if sets > self.stamps.capacity() {
+            self.stamps = Vec::new();
+        }
+        // Stale contents left in reused buffers are never read: `reset`
+        // below makes every set's stamp lag, so each set is normalized on
+        // its first touch under the new geometry.
+        self.tags.resize(lines, INVALID_TAG);
+        self.meta.resize(lines, LineMeta::default());
+        self.stamps.resize(sets, (0, 0));
+        let spl = cfg.sectors_per_line() as u64;
+        self.cfg = cfg;
+        self.n_sets = sets as u64;
+        self.sectors_per_line = spl;
+        self.spl_shift = spl.is_power_of_two().then(|| spl.trailing_zeros());
+        self.set_mul = (u64::MAX / self.n_sets).wrapping_add(1);
+        self.reset();
+    }
+
     /// Clear all contents and counters (reuse between warps).
     ///
-    /// O(1): bumping the generation invalidates every line lazily, so a
+    /// O(1): bumping the generation invalidates every set lazily, so a
     /// pooled warp's reset does not rescan a multi-megabyte line array the
     /// way constructing a fresh cache must. Observable behaviour (access
     /// outcomes, traffic counters) is identical to a fresh cache; only the
@@ -122,10 +156,15 @@ impl Cache {
         self.extra_fills = 0;
     }
 
-    fn set_range(&self, line_tag: u64) -> (usize, usize) {
-        let set = (line_tag % self.n_sets) as usize;
-        let ways = self.cfg.ways as usize;
-        (set * ways, set * ways + ways)
+    fn set_of(&self, line_tag: u64) -> usize {
+        if line_tag >> 32 == 0 {
+            // Lemire, Kaser & Kurz (2019), "Faster remainder by direct
+            // computation": exact for 32-bit dividends and divisors.
+            let low = self.set_mul.wrapping_mul(line_tag);
+            ((low as u128 * self.n_sets as u128) >> 64) as usize
+        } else {
+            (line_tag % self.n_sets) as usize
+        }
     }
 
     /// Access one sector (identified by its sector-granular address
@@ -139,73 +178,62 @@ impl Cache {
             Some(sh) => (sector_addr >> sh, (sector_addr & (sectors_per_line - 1)) as u32),
             None => (sector_addr / sectors_per_line, (sector_addr % sectors_per_line) as u32),
         };
+        assert!(line_tag != INVALID_TAG, "sector address {sector_addr:#x} out of range");
         let sector_bit = 1u32 << sector_in_line;
-        let (lo, hi) = self.set_range(line_tag);
-        let (gen, dirty_gen) = (self.gen, self.dirty_gen);
+        let set = self.set_of(line_tag);
+        let lo = set * self.cfg.ways as usize;
+        let hi = lo + self.cfg.ways as usize;
+        let (tags, meta) = (&mut self.tags[lo..hi], &mut self.meta[lo..hi]);
 
-        // Look for the tag (a stale generation reads as an invalid line).
-        for way in lo..hi {
-            let line = &mut self.sets[way];
-            if line.gen == gen && line.tag == Some(line_tag) {
-                line.last_use = tick;
-                if write {
-                    let dirty = if line.dirty_gen == dirty_gen { line.sector_dirty } else { 0 };
-                    if dirty & sector_bit == 0 {
-                        self.dirty_sectors += 1;
-                    }
-                    line.sector_dirty = dirty | sector_bit;
-                    line.dirty_gen = dirty_gen;
-                }
-                return if line.sector_valid & sector_bit != 0 {
-                    line.sector_valid |= sector_bit;
-                    SectorOutcome::Hit
-                } else {
-                    line.sector_valid |= sector_bit;
-                    SectorOutcome::SectorMiss
-                };
+        // Normalize a set stamped under an older generation.
+        let stamp = &mut self.stamps[set];
+        if *stamp != (self.gen, self.dirty_gen) {
+            if stamp.0 != self.gen {
+                tags.fill(INVALID_TAG);
+                meta.fill(LineMeta::default());
+            } else {
+                meta.iter_mut().for_each(|m| m.dirty = 0);
             }
+            *stamp = (self.gen, self.dirty_gen);
         }
 
-        // Miss: find victim (invalid way first, else LRU).
-        let victim = (lo..hi)
-            .min_by_key(|&w| {
-                let l = &self.sets[w];
-                if l.gen != gen || l.tag.is_none() {
-                    (0, 0)
-                } else {
-                    (1, l.last_use)
+        if let Some(way) = tags.iter().position(|&t| t == line_tag) {
+            let line = &mut meta[way];
+            line.last_use = tick;
+            if write {
+                if line.dirty & sector_bit == 0 {
+                    self.dirty_sectors += 1;
                 }
-            })
-            .expect("set has at least one way");
-        let sectored = self.cfg.sectored;
-        let line = &mut self.sets[victim];
-        if line.gen == gen && line.tag.is_some() && line.dirty_gen == dirty_gen {
-            let evicted = line.sector_dirty.count_ones() as u64;
-            self.writebacks += evicted;
-            self.dirty_sectors -= evicted;
+                line.dirty |= sector_bit;
+            }
+            let present = line.valid & sector_bit != 0;
+            line.valid |= sector_bit;
+            return if present { SectorOutcome::Hit } else { SectorOutcome::SectorMiss };
         }
-        let valid = if sectored {
+
+        // Miss: the first way with the smallest timestamp is the first
+        // invalid way, else the LRU line.
+        let (victim, _) = meta
+            .iter()
+            .enumerate()
+            .min_by_key(|(_, m)| m.last_use)
+            .expect("set has at least one way");
+        let line = &mut meta[victim];
+        let evicted = line.dirty.count_ones() as u64;
+        self.writebacks += evicted;
+        self.dirty_sectors -= evicted;
+        let valid = if self.cfg.sectored {
             sector_bit
         } else {
             // Whole-line fill: every sector arrives from the level below.
             self.extra_fills += sectors_per_line - 1;
-            if sectors_per_line >= 32 {
-                u32::MAX
-            } else {
-                (1u32 << sectors_per_line) - 1
-            }
+            u32::MAX >> (32 - sectors_per_line)
         };
         if write {
             self.dirty_sectors += 1;
         }
-        *line = Line {
-            tag: Some(line_tag),
-            sector_valid: valid,
-            sector_dirty: if write { sector_bit } else { 0 },
-            last_use: tick,
-            gen,
-            dirty_gen,
-        };
+        tags[victim] = line_tag;
+        *line = LineMeta { last_use: tick, valid, dirty: if write { sector_bit } else { 0 } };
         SectorOutcome::LineMiss
     }
 
@@ -334,5 +362,115 @@ mod tests {
             }
         }
         assert_eq!(misses, 0);
+    }
+}
+
+#[cfg(test)]
+mod proptests {
+    use super::*;
+    use proptest::prelude::*;
+
+    /// A plain per-line LRU cache with eager `reset` and `flush`: the
+    /// semantics the packed [`Cache`] must reproduce outcome for outcome.
+    struct RefCache {
+        cfg: CacheConfig,
+        /// `(tag, valid bits, dirty bits, last use)` per line, set-major.
+        lines: Vec<(Option<u64>, u64, u64, u64)>,
+        tick: u64,
+        writebacks: u64,
+        extra_fills: u64,
+    }
+
+    impl RefCache {
+        fn new(cfg: CacheConfig) -> Self {
+            let lines = vec![(None, 0, 0, 0); cfg.lines() as usize];
+            RefCache { cfg, lines, tick: 0, writebacks: 0, extra_fills: 0 }
+        }
+
+        fn access(&mut self, sector: u64, write: bool) -> SectorOutcome {
+            self.tick += 1;
+            let spl = self.cfg.sectors_per_line() as u64;
+            let (tag, bit) = (sector / spl, 1u64 << (sector % spl));
+            let ways = self.cfg.ways as usize;
+            let lo = (tag % self.cfg.sets()) as usize * ways;
+            let set = &mut self.lines[lo..lo + ways];
+            let written = if write { bit } else { 0 };
+            if let Some(line) = set.iter_mut().find(|l| l.0 == Some(tag)) {
+                let present = line.1 & bit != 0;
+                *line = (Some(tag), line.1 | bit, line.2 | written, self.tick);
+                return if present { SectorOutcome::Hit } else { SectorOutcome::SectorMiss };
+            }
+            // First invalid way, else the least recently used line.
+            let victim = set.iter_mut().min_by_key(|l| (l.0.is_some(), l.3)).expect("ways > 0");
+            self.writebacks += victim.2.count_ones() as u64;
+            let valid = if self.cfg.sectored {
+                bit
+            } else {
+                self.extra_fills += spl - 1;
+                (1 << spl) - 1
+            };
+            *victim = (Some(tag), valid, written, self.tick);
+            SectorOutcome::LineMiss
+        }
+
+        fn flush(&mut self) -> u64 {
+            let dirty: u64 = self.lines.iter().map(|l| l.2.count_ones() as u64).sum();
+            self.lines.iter_mut().for_each(|l| l.2 = 0);
+            self.writebacks += dirty;
+            dirty
+        }
+    }
+
+    /// Sectored and whole-line fills, odd set counts, a 1-set cache, a
+    /// direct-mapped cache, a non-power-of-two sector count and 32-sector
+    /// lines (full bitmaps).
+    fn configs() -> [CacheConfig; 8] {
+        [
+            CacheConfig::new(512, 128, 2),
+            CacheConfig::new(512, 128, 2).non_sectored(),
+            CacheConfig::new(3 * 2 * 128, 128, 2),
+            CacheConfig::new(5 * 4 * 64, 64, 4).non_sectored(),
+            CacheConfig::new(4 * 128, 128, 4),
+            CacheConfig::new(7 * 32, 32, 1),
+            CacheConfig::new(3 * 2 * 1024, 1024, 2).non_sectored(),
+            CacheConfig::new(3 * 2 * 96, 96, 2),
+        ]
+    }
+
+    proptest! {
+        /// Random `(sector, write)` streams mixed with `reset`, `flush` and
+        /// `reconfigure`, over three address regions: low line tags, tags
+        /// straddling 2^32 (both set-index routes share sets) and tags near
+        /// 2^62, where the 32-bit fastmod would be wrong and `%` must serve.
+        #[test]
+        fn packed_cache_matches_reference(
+            first in 0usize..8,
+            ops in proptest::collection::vec((0u32..100, 0u64..768, any::<bool>()), 0..400),
+        ) {
+            let mut cache = Cache::new(configs()[first]);
+            let mut model = RefCache::new(configs()[first]);
+            for (op, x, write) in ops {
+                match op {
+                    0..=89 => {
+                        let spl = model.cfg.sectors_per_line() as u64;
+                        let base = [0, ((1 << 32) - 4) * spl, 1 << 62][x as usize / 256];
+                        let sector = base + x % 256;
+                        prop_assert_eq!(cache.access_sector(sector, write), model.access(sector, write));
+                    }
+                    90..=93 => prop_assert_eq!(cache.flush(), model.flush()),
+                    94..=96 => {
+                        cache.reset();
+                        model = RefCache::new(model.cfg);
+                    }
+                    _ => {
+                        let cfg = configs()[x as usize % 8];
+                        cache.reconfigure(cfg);
+                        model = RefCache::new(cfg);
+                    }
+                }
+                prop_assert_eq!(cache.writebacks, model.writebacks);
+                prop_assert_eq!(cache.extra_fills, model.extra_fills);
+            }
+        }
     }
 }

@@ -57,11 +57,14 @@ where
 {
     out.sectors.clear();
     let mut lanes = 0u32;
-    // Track sortedness while pushing: per-lane sector ranges are ascending,
-    // and most warp accesses arrive in ascending lane-address order (strided
-    // k-mer reads, scalar walk loads), so the common case skips the sort
-    // entirely. The final sorted+deduped vector is identical either way.
+    // Most warp accesses arrive in ascending lane-address order (strided
+    // k-mer reads, scalar walk loads). Skipping a sector equal to the
+    // previous push keeps such input sorted and unique as it is built, so
+    // only a push that went backwards needs the sort and dedup. The final
+    // vector is identical either way. A lane's own sectors ascend, so only
+    // its first one can repeat or precede the previous push.
     let mut sorted = true;
+    let mut prev: Option<u64> = None;
     for (addr, len) in accesses {
         lanes += 1;
         if len == 0 {
@@ -69,17 +72,22 @@ where
         }
         let first = addr / SECTOR_BYTES;
         let last = (addr + len as u64 - 1) / SECTOR_BYTES;
-        if sorted && out.sectors.last().is_some_and(|&prev| prev > first) {
-            sorted = false;
+        let mut s = first;
+        match prev {
+            Some(p) if p == first => s += 1,
+            Some(p) if p > first => sorted = false,
+            _ => {}
         }
-        for s in first..=last {
+        while s <= last {
             out.sectors.push(s);
+            s += 1;
         }
+        prev = Some(last);
     }
     if !sorted {
         out.sectors.sort_unstable();
+        out.sectors.dedup();
     }
-    out.sectors.dedup();
     out.lane_accesses = lanes;
 }
 
@@ -156,10 +164,11 @@ mod proptests {
     use proptest::prelude::*;
 
     proptest! {
-        /// Transactions never exceed the total number of sectors the lanes
-        /// touch individually, and never undershoot the unique sector count.
+        /// The result is exactly the unique sectors the lanes touch
+        /// individually, whether lanes arrive scattered or ascending (the
+        /// path that skips the sort).
         #[test]
-        fn transaction_bounds(accs in proptest::collection::vec((0u64..1 << 20, 1u32..64), 0..64)) {
+        fn transaction_bounds(mut accs in proptest::collection::vec((0u64..1 << 20, 1u32..64), 0..64)) {
             let r = coalesce_sectors(accs.iter().copied());
             let mut indiv: Vec<u64> = accs
                 .iter()
@@ -168,8 +177,10 @@ mod proptests {
             let total: usize = indiv.len();
             indiv.sort_unstable();
             indiv.dedup();
-            prop_assert_eq!(r.sectors.len(), indiv.len());
+            prop_assert_eq!(&r.sectors, &indiv);
             prop_assert!(r.sectors.len() <= total);
+            accs.sort_unstable();
+            prop_assert_eq!(coalesce_sectors(accs.iter().copied()).sectors, indiv);
         }
 
         /// Result is sorted and deduplicated.

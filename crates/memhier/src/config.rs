@@ -14,7 +14,8 @@ pub const SECTOR_BYTES: u64 = 32;
 pub struct CacheConfig {
     /// Total capacity in bytes.
     pub capacity_bytes: u64,
-    /// Cache-line size in bytes (must be a multiple of [`SECTOR_BYTES`]).
+    /// Cache-line size in bytes (a multiple of [`SECTOR_BYTES`], at most 32
+    /// sectors).
     pub line_bytes: u64,
     /// Associativity (ways per set). `0` is invalid.
     pub ways: u32,
@@ -33,6 +34,10 @@ impl CacheConfig {
         assert!(
             line_bytes >= SECTOR_BYTES && line_bytes.is_multiple_of(SECTOR_BYTES),
             "line size must be a positive multiple of the {SECTOR_BYTES}-byte sector"
+        );
+        assert!(
+            line_bytes <= 32 * SECTOR_BYTES,
+            "line size {line_bytes} exceeds the 32 sectors a line's sector bitmaps hold"
         );
         assert!(ways > 0, "associativity must be at least 1");
         assert!(
@@ -108,6 +113,12 @@ mod tests {
     #[should_panic(expected = "sector")]
     fn bad_line_size_rejected() {
         CacheConfig::new(1024, 48, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "32 sectors")]
+    fn over_wide_line_rejected() {
+        CacheConfig::new(64 * 1024, 2048, 4);
     }
 
     #[test]

@@ -76,21 +76,13 @@ impl MemHierarchy {
 
     /// Reset for reuse under a (possibly different) configuration.
     ///
-    /// When the geometry is unchanged this is a plain [`MemHierarchy::reset`]
-    /// and the line buffers are kept (the pooled-launch fast path); a changed
-    /// geometry rebuilds the affected cache level. Either way the resulting
-    /// state is indistinguishable from `MemHierarchy::new(cfg)`.
-    pub fn reconfigure(&mut self, cfg: crate::config::HierarchyConfig) {
-        if *self.l1.config() == cfg.l1 {
-            self.l1.reset();
-        } else {
-            self.l1 = Cache::new(cfg.l1);
-        }
-        if *self.l2.config() == cfg.l2 {
-            self.l2.reset();
-        } else {
-            self.l2 = Cache::new(cfg.l2);
-        }
+    /// Each level keeps its line buffers when they are large enough (see
+    /// [`Cache::reconfigure`]), so the pooled-launch path allocates nothing
+    /// at steady state and never holds two line arrays of one level at once.
+    /// The resulting state is indistinguishable from `MemHierarchy::new(cfg)`.
+    pub fn reconfigure(&mut self, cfg: HierarchyConfig) {
+        self.l1.reconfigure(cfg.l1);
+        self.l2.reconfigure(cfg.l2);
         self.stats = MemStats::default();
         self.synced_extra_fills = 0;
         self.synced_writebacks = 0;
@@ -119,28 +111,29 @@ impl MemHierarchy {
     }
 
     /// Batched variant of [`MemHierarchy::access`]: one pass over the
-    /// coalesced sector set with the access kind hoisted out of the loop
-    /// and a single write-back/overfetch sync at the end instead of one
-    /// per sector.
+    /// coalesced sector set (`CoalesceResult::sectors`, or a one-element
+    /// slice for an access that fits one sector) with the access kind
+    /// hoisted out of the loop and a single write-back/overfetch sync at the
+    /// end instead of one per sector.
     ///
     /// Produces **identical** stats to [`MemHierarchy::access`] for the
-    /// same input: the sync only settles cumulative cache counters
+    /// same sectors: the sync only settles cumulative cache counters
     /// (write-backs, whole-line overfetch) into the stats, and those
     /// deltas are monotone — syncing once after the loop charges exactly
     /// the transactions the per-sector syncs would have charged.
     ///
     /// Returns the deepest [`MemLevel`] reached, like [`MemHierarchy::access`].
-    pub fn access_batched(&mut self, coalesced: &CoalesceResult, kind: AccessKind) -> MemLevel {
+    pub fn access_batched(&mut self, sectors: &[u64], kind: AccessKind) -> MemLevel {
         self.stats.mem_instructions += 1;
         let mut level = MemLevel::L1;
         match kind {
             AccessKind::Read => {
-                for &sector in &coalesced.sectors {
+                for &sector in sectors {
                     level = level.max(self.read_sector_unsynced(sector));
                 }
             }
             AccessKind::Write => {
-                for &sector in &coalesced.sectors {
+                for &sector in sectors {
                     level = level.max(self.l2_request(sector, true));
                 }
             }
@@ -304,7 +297,7 @@ mod tests {
                 let acc = coalesce_sectors([(addr, 64u32), (addr + 2048, 4u32)]);
                 let kind =
                     if (line + round) % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                assert_eq!(a.access(&acc, kind), b.access_batched(&acc, kind));
+                assert_eq!(a.access(&acc, kind), b.access_batched(&acc.sectors, kind));
             }
         }
     }
@@ -328,24 +321,30 @@ mod tests {
     #[test]
     fn reconfigure_matches_fresh_hierarchy() {
         let cfg = HierarchyConfig::tiny();
-        let mut reused = MemHierarchy::new(cfg);
-        // Dirty the caches and counters with a first "job".
-        for line in 0..32u64 {
-            let acc = coalesce_sectors([(line * 128, 4u32)]);
-            reused.access(&acc, AccessKind::Write);
-        }
-        reused.flush();
-        reused.reconfigure(cfg);
-
-        let mut fresh = MemHierarchy::new(cfg);
-        for h in [&mut reused, &mut fresh] {
-            for line in 0..16u64 {
+        let big = HierarchyConfig::new(
+            CacheConfig::new(2 * 1024, 128, 4),
+            CacheConfig::new(64 * 1024, 128, 8),
+        );
+        // 160 lines overflow the tiny L2, so dirty evictions are exercised.
+        let job = |h: &mut MemHierarchy| {
+            for line in 0..160u64 {
                 let acc = coalesce_sectors([(line * 128, 4u32)]);
-                h.access(&acc, AccessKind::Read);
+                let kind = if line % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
+                h.access(&acc, kind);
             }
             h.flush();
+        };
+        // Same geometry, then grow (buffers reallocated), then shrink back
+        // (buffers reused): each step must leave a cold hierarchy.
+        let mut reused = MemHierarchy::new(cfg);
+        job(&mut reused);
+        for next in [cfg, big, cfg] {
+            reused.reconfigure(next);
+            let mut fresh = MemHierarchy::new(next);
+            job(&mut reused);
+            job(&mut fresh);
+            assert_eq!(reused.stats(), fresh.stats(), "reconfigured state must be cold");
         }
-        assert_eq!(reused.stats(), fresh.stats(), "reconfigured state must be cold");
     }
 
     #[test]
@@ -443,8 +442,12 @@ mod tests {
                     let acc = coalesce_sectors([(addr, 64u32), (addr + 4096, 4u32)]);
                     let kind =
                         if (line + round) % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                    a.access(&acc, kind);
-                    b.access_batched(&acc, kind);
+                    assert_eq!(a.access(&acc, kind), b.access_batched(&acc.sectors, kind));
+                    // A one-sector access as the warp's single-lane path issues
+                    // it: a one-element slice that skips the coalescer.
+                    let one = addr + 8192 + 4;
+                    let acc = coalesce_sectors([(one, 4u32)]);
+                    assert_eq!(a.access(&acc, kind), b.access_batched(&[one / SECTOR_BYTES], kind));
                 }
             }
             a.flush();
