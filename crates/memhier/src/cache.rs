@@ -67,9 +67,6 @@ pub struct Cache {
     /// geometry: 128-byte lines of 32-byte sectors), letting the per-access
     /// line-tag split compile to a shift and mask instead of two divisions.
     spl_shift: Option<u32>,
-    /// Lemire's fastmod multiplier for `n_sets`: exact for 32-bit line tags,
-    /// replacing the 64-bit division of the set index.
-    set_mul: u64,
     /// Current line generation; a set stamped with an older one is invalid.
     gen: u64,
     /// Current dirty-bit generation; a set stamped with an older one has
@@ -96,7 +93,6 @@ impl Cache {
             n_sets: 0,
             sectors_per_line: 0,
             spl_shift: None,
-            set_mul: 0,
             gen: 0,
             dirty_gen: 0,
             dirty_sectors: 0,
@@ -113,31 +109,32 @@ impl Cache {
 
     /// Reset into geometry `cfg`: the resulting state is indistinguishable
     /// from `Cache::new(cfg)`. The line arrays are reused when they are large
-    /// enough; otherwise they are freed before the larger ones are allocated,
-    /// so two line arrays never coexist.
+    /// enough, so the pooled-launch path allocates nothing at steady state;
+    /// otherwise they are freed before the larger ones are allocated, so two
+    /// line arrays never coexist. [`Cache::trim`] gives spare capacity back.
     pub fn reconfigure(&mut self, cfg: CacheConfig) {
-        let sets = u32::try_from(cfg.sets()).expect("set count fits the 32-bit set index") as usize;
+        let sets = cfg.sets() as usize;
         let lines = sets * cfg.ways as usize;
-        if lines > self.tags.capacity() {
-            self.tags = Vec::new();
-            self.meta = Vec::new();
-        }
-        if sets > self.stamps.capacity() {
-            self.stamps = Vec::new();
-        }
         // Stale contents left in reused buffers are never read: `reset`
         // below makes every set's stamp lag, so each set is normalized on
         // its first touch under the new geometry.
-        self.tags.resize(lines, INVALID_TAG);
-        self.meta.resize(lines, LineMeta::default());
-        self.stamps.resize(sets, (0, 0));
+        refit(&mut self.tags, lines, INVALID_TAG);
+        refit(&mut self.meta, lines, LineMeta::default());
+        refit(&mut self.stamps, sets, (0, 0));
         let spl = cfg.sectors_per_line() as u64;
         self.cfg = cfg;
         self.n_sets = sets as u64;
         self.sectors_per_line = spl;
         self.spl_shift = spl.is_power_of_two().then(|| spl.trailing_zeros());
-        self.set_mul = (u64::MAX / self.n_sets).wrapping_add(1);
         self.reset();
+    }
+
+    /// Shrink the line arrays in place to the current geometry, giving back
+    /// what a larger earlier geometry left behind.
+    pub fn trim(&mut self) {
+        self.tags.shrink_to_fit();
+        self.meta.shrink_to_fit();
+        self.stamps.shrink_to_fit();
     }
 
     /// Clear all contents and counters (reuse between warps).
@@ -156,17 +153,6 @@ impl Cache {
         self.extra_fills = 0;
     }
 
-    fn set_of(&self, line_tag: u64) -> usize {
-        if line_tag >> 32 == 0 {
-            // Lemire, Kaser & Kurz (2019), "Faster remainder by direct
-            // computation": exact for 32-bit dividends and divisors.
-            let low = self.set_mul.wrapping_mul(line_tag);
-            ((low as u128 * self.n_sets as u128) >> 64) as usize
-        } else {
-            (line_tag % self.n_sets) as usize
-        }
-    }
-
     /// Access one sector (identified by its sector-granular address
     /// `sector_addr = addr / SECTOR_BYTES`). Returns what happened; on a
     /// miss the caller is responsible for forwarding to the level below.
@@ -180,7 +166,7 @@ impl Cache {
         };
         assert!(line_tag != INVALID_TAG, "sector address {sector_addr:#x} out of range");
         let sector_bit = 1u32 << sector_in_line;
-        let set = self.set_of(line_tag);
+        let set = (line_tag % self.n_sets) as usize;
         let lo = set * self.cfg.ways as usize;
         let hi = lo + self.cfg.ways as usize;
         let (tags, meta) = (&mut self.tags[lo..hi], &mut self.meta[lo..hi]);
@@ -257,6 +243,17 @@ impl Cache {
     }
 }
 
+/// Resize `v` to `len`, keeping its buffer when it is large enough. A
+/// larger buffer is allocated at the exact size only after the old one is
+/// freed, so two copies of a line array never coexist.
+fn refit<T: Clone>(v: &mut Vec<T>, len: usize, fill: T) {
+    if len > v.capacity() {
+        *v = Vec::new();
+        v.reserve_exact(len);
+    }
+    v.resize(len, fill);
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -328,6 +325,20 @@ mod tests {
         c.reset();
         assert_eq!(c.writebacks, 0);
         assert_eq!(c.access_sector(0, false), SectorOutcome::LineMiss);
+    }
+
+    #[test]
+    fn reconfigure_keeps_buffers_until_trimmed() {
+        let mut c = Cache::new(CacheConfig::new(64 * 1024, 128, 8)); // 64 sets, 512 lines
+        let caps = |c: &Cache| (c.tags.capacity(), c.meta.capacity(), c.stamps.capacity());
+        c.reconfigure(CacheConfig::new(2 * 1024, 128, 4)); // 4 sets, 16 lines
+        assert_eq!(caps(&c), (512, 512, 64), "a smaller geometry reuses the buffers");
+        c.access_sector(5, true);
+        c.trim();
+        assert_eq!(caps(&c), (16, 16, 4), "trim shrinks them to the geometry");
+        // Trimming keeps the contents and counters.
+        assert_eq!(c.access_sector(5, false), SectorOutcome::Hit);
+        assert_eq!(c.flush(), 1);
     }
 
     #[test]
@@ -440,8 +451,8 @@ mod proptests {
     proptest! {
         /// Random `(sector, write)` streams mixed with `reset`, `flush` and
         /// `reconfigure`, over three address regions: low line tags, tags
-        /// straddling 2^32 (both set-index routes share sets) and tags near
-        /// 2^62, where the 32-bit fastmod would be wrong and `%` must serve.
+        /// straddling 2^32 and tags near 2^62, so wide tags share sets with
+        /// narrow ones.
         #[test]
         fn packed_cache_matches_reference(
             first in 0usize..8,

@@ -64,7 +64,6 @@ where
     // vector is identical either way. A lane's own sectors ascend, so only
     // its first one can repeat or precede the previous push.
     let mut sorted = true;
-    let mut prev: Option<u64> = None;
     for (addr, len) in accesses {
         lanes += 1;
         if len == 0 {
@@ -73,16 +72,15 @@ where
         let first = addr / SECTOR_BYTES;
         let last = (addr + len as u64 - 1) / SECTOR_BYTES;
         let mut s = first;
-        match prev {
-            Some(p) if p == first => s += 1,
-            Some(p) if p > first => sorted = false,
+        match out.sectors.last().copied() {
+            Some(prev) if prev == first => s += 1,
+            Some(prev) if prev > first => sorted = false,
             _ => {}
         }
         while s <= last {
             out.sectors.push(s);
             s += 1;
         }
-        prev = Some(last);
     }
     if !sorted {
         out.sectors.sort_unstable();

@@ -88,6 +88,13 @@ impl MemHierarchy {
         self.synced_writebacks = 0;
     }
 
+    /// Shrink both levels' line arrays to the current geometry (see
+    /// [`Cache::trim`]); contents and counters are untouched.
+    pub fn trim(&mut self) {
+        self.l1.trim();
+        self.l2.trim();
+    }
+
     /// Route one warp-wide coalesced access through the hierarchy.
     ///
     /// Counts one memory instruction and walks every unique sector. Reads go
@@ -111,29 +118,28 @@ impl MemHierarchy {
     }
 
     /// Batched variant of [`MemHierarchy::access`]: one pass over the
-    /// coalesced sector set (`CoalesceResult::sectors`, or a one-element
-    /// slice for an access that fits one sector) with the access kind
-    /// hoisted out of the loop and a single write-back/overfetch sync at the
-    /// end instead of one per sector.
+    /// coalesced sector set with the access kind hoisted out of the loop
+    /// and a single write-back/overfetch sync at the end instead of one
+    /// per sector.
     ///
     /// Produces **identical** stats to [`MemHierarchy::access`] for the
-    /// same sectors: the sync only settles cumulative cache counters
+    /// same input: the sync only settles cumulative cache counters
     /// (write-backs, whole-line overfetch) into the stats, and those
     /// deltas are monotone — syncing once after the loop charges exactly
     /// the transactions the per-sector syncs would have charged.
     ///
     /// Returns the deepest [`MemLevel`] reached, like [`MemHierarchy::access`].
-    pub fn access_batched(&mut self, sectors: &[u64], kind: AccessKind) -> MemLevel {
+    pub fn access_batched(&mut self, coalesced: &CoalesceResult, kind: AccessKind) -> MemLevel {
         self.stats.mem_instructions += 1;
         let mut level = MemLevel::L1;
         match kind {
             AccessKind::Read => {
-                for &sector in sectors {
+                for &sector in &coalesced.sectors {
                     level = level.max(self.read_sector_unsynced(sector));
                 }
             }
             AccessKind::Write => {
-                for &sector in sectors {
+                for &sector in &coalesced.sectors {
                     level = level.max(self.l2_request(sector, true));
                 }
             }
@@ -297,7 +303,7 @@ mod tests {
                 let acc = coalesce_sectors([(addr, 64u32), (addr + 2048, 4u32)]);
                 let kind =
                     if (line + round) % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                assert_eq!(a.access(&acc, kind), b.access_batched(&acc.sectors, kind));
+                assert_eq!(a.access(&acc, kind), b.access_batched(&acc, kind));
             }
         }
     }
@@ -325,6 +331,10 @@ mod tests {
             CacheConfig::new(2 * 1024, 128, 4),
             CacheConfig::new(64 * 1024, 128, 8),
         );
+        let mid = HierarchyConfig::new(
+            CacheConfig::new(3 * 512, 128, 4),
+            CacheConfig::new(48 * 1024, 128, 8),
+        );
         // 160 lines overflow the tiny L2, so dirty evictions are exercised.
         let job = |h: &mut MemHierarchy| {
             for line in 0..160u64 {
@@ -334,16 +344,19 @@ mod tests {
             }
             h.flush();
         };
-        // Same geometry, then grow (buffers reallocated), then shrink back
-        // (buffers reused): each step must leave a cold hierarchy.
+        // Same geometry, grow (buffers reallocated), shrink (reused), then a
+        // trim and a further shrink: each step must leave a cold hierarchy.
         let mut reused = MemHierarchy::new(cfg);
         job(&mut reused);
-        for next in [cfg, big, cfg] {
+        for next in [cfg, big, mid, cfg] {
             reused.reconfigure(next);
             let mut fresh = MemHierarchy::new(next);
             job(&mut reused);
             job(&mut fresh);
             assert_eq!(reused.stats(), fresh.stats(), "reconfigured state must be cold");
+            if next == mid {
+                reused.trim();
+            }
         }
     }
 
@@ -442,12 +455,12 @@ mod tests {
                     let acc = coalesce_sectors([(addr, 64u32), (addr + 4096, 4u32)]);
                     let kind =
                         if (line + round) % 3 == 0 { AccessKind::Write } else { AccessKind::Read };
-                    assert_eq!(a.access(&acc, kind), b.access_batched(&acc.sectors, kind));
-                    // A one-sector access as the warp's single-lane path issues
-                    // it: a one-element slice that skips the coalescer.
-                    let one = addr + 8192 + 4;
-                    let acc = coalesce_sectors([(one, 4u32)]);
-                    assert_eq!(a.access(&acc, kind), b.access_batched(&[one / SECTOR_BYTES], kind));
+                    assert_eq!(a.access(&acc, kind), b.access_batched(&acc, kind));
+                    // A one-lane, one-sector access, the shape
+                    // `Warp::scalar_access` sends.
+                    let acc = coalesce_sectors([(addr + 8192 + 4, 4u32)]);
+                    assert_eq!(acc.sectors.len(), 1);
+                    assert_eq!(a.access(&acc, kind), b.access_batched(&acc, kind));
                 }
             }
             a.flush();

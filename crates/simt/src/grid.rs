@@ -190,8 +190,17 @@ fn acquire_warp(cfg: &LaunchConfig) -> Warp {
 }
 
 /// Return a finished warp to the pool (dropped when pooling is off).
-fn release_warp(cfg: &LaunchConfig, warp: Warp) {
+///
+/// A warp leaving a parallel launch is trimmed to its cache slice: the
+/// pool then holds about one warp per thread, and each would otherwise
+/// keep the largest slice it ever served (a whole L2 after a 1-warp
+/// launch). A serial launch's single pooled warp keeps its spare capacity,
+/// so launches of alternating sizes do not reallocate it.
+fn release_warp(cfg: &LaunchConfig, mut warp: Warp) {
     if cfg.pool {
+        if cfg.parallel {
+            warp.trim_caches();
+        }
         pool().idle.lock().unwrap().push(warp);
     }
 }

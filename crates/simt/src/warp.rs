@@ -19,7 +19,6 @@ use crate::mem::GlobalMem;
 use crate::san::{SanKind, SanReport, SanState, SanitizerConfig};
 use crate::sched::{TimelineRecorder, WarpTimeline};
 use crate::trace::{EventKind, TraceSink, WarpTrace};
-use memhier::config::SECTOR_BYTES;
 use memhier::{
     coalesce_sectors_into, AccessKind, Addr, CoalesceResult, HierarchyConfig, MemHierarchy,
 };
@@ -120,6 +119,12 @@ impl Warp {
         self.injected = InjectedFaults::default();
         self.san = None;
         self.recorder = None;
+    }
+
+    /// Give back cache-model capacity beyond the current geometry (see
+    /// [`MemHierarchy::trim`]); no modeled state changes.
+    pub(crate) fn trim_caches(&mut self) {
+        self.hier.trim();
     }
 
     /// Select the interpreter execution mode (see [`ExecMode`]). Modes are
@@ -367,7 +372,7 @@ impl Warp {
         let level = match self.exec {
             ExecMode::Scalar => self.hier.access(&self.co_scratch, kind),
             ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch.sectors, kind)
+                self.hier.access_batched(&self.co_scratch, kind)
             }
         };
         self.counters.warp_instructions += 1;
@@ -390,23 +395,15 @@ impl Warp {
     /// and sanitizer behaviour (for a single lane, `SanState::mem_op` and
     /// `SanState::scalar_op` are equivalent, and the uncoalesced lint can
     /// never fire below `LINT_MIN_LANES`) — without constructing the
-    /// `LaneVec`s the scalar reference path pays for per access. An access
-    /// that fits one sector also skips the coalescer (a one-lane coalesce
-    /// is that sector), unless a sanitizer wants the coalesced view.
+    /// `LaneVec`s the scalar reference path pays for per access.
     fn scalar_access(&mut self, lane: u32, addr: Addr, size: u32, kind: AccessKind) {
         debug_assert!((lane as usize) < crate::MAX_LANES, "lane index {lane} out of range");
         let pre = self.hbm_pre();
-        let sector = addr / SECTOR_BYTES;
-        let one_sector = size > 0 && (addr + size as u64 - 1) / SECTOR_BYTES == sector;
-        let level = if one_sector && self.exec != ExecMode::Scalar && self.san.is_none() {
-            self.hier.access_batched(&[sector], kind)
-        } else {
-            coalesce_sectors_into(&mut self.co_scratch, [(addr, size)]);
-            match self.exec {
-                ExecMode::Scalar => self.hier.access(&self.co_scratch, kind),
-                ExecMode::Vectorized | ExecMode::Scheduled => {
-                    self.hier.access_batched(&self.co_scratch.sectors, kind)
-                }
+        coalesce_sectors_into(&mut self.co_scratch, [(addr, size)]);
+        let level = match self.exec {
+            ExecMode::Scalar => self.hier.access(&self.co_scratch, kind),
+            ExecMode::Vectorized | ExecMode::Scheduled => {
+                self.hier.access_batched(&self.co_scratch, kind)
             }
         };
         self.counters.warp_instructions += 1;
@@ -465,7 +462,7 @@ impl Warp {
         let level = match self.exec {
             ExecMode::Scalar => self.hier.access(&self.co_scratch, AccessKind::Read),
             ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch.sectors, AccessKind::Read)
+                self.hier.access_batched(&self.co_scratch, AccessKind::Read)
             }
         };
         self.counters.warp_instructions += 1;
