@@ -800,16 +800,16 @@ fn sanitize_run(args: &Args) {
 fn sched_run(args: &Args) {
     use locassm_bench::modeled::{sched, slug, Rows};
 
-    // Timelines pack each memory touch into one 4-byte word (the k=77,
-    // scale-0.5 MI250X benchmark workload records 21.4 M of them and peaks
-    // near 32 MiB RSS), but replay time still grows with the event count
-    // and `--sched-trace` keeps a 48-byte slice per issue segment, so the
-    // dataset stays capped for a quick default invocation.
+    // Timelines pack each memory touch into ~1 byte (the k=77, scale-0.5
+    // MI250X benchmark workload records 21.4 M events in 21.6 MB and
+    // peaks near 14 MiB RSS), but replay time still grows with the event
+    // count and `--sched-trace` keeps a 48-byte slice per issue segment,
+    // so the dataset stays capped for a quick default invocation.
     let scale = args.scale.min(0.02);
     if scale < args.scale {
         eprintln!(
             "[repro] scheduled mode caps the dataset at scale {scale} \
-             (timelines cost 4 B per memory touch, SM-track slices 48 B \
+             (timelines cost ~1 B per memory touch, SM-track slices 48 B \
              per issue segment; the replay's host time grows with both)"
         );
     }

@@ -256,7 +256,7 @@ fn run_job_id(jobs: &[ContigJob], min_k: usize, victim_pos: usize) -> Option<u64
 /// `(arrival, uid)` order on a virtual clock, so two calls with the same
 /// inputs return bit-identical reports.
 pub fn run_service(requests: &[ExtensionRequest], cfg: &ServiceConfig) -> ServiceReport {
-    let mut arrivals: Vec<ExtensionRequest> = requests.to_vec();
+    let mut arrivals: Vec<&ExtensionRequest> = requests.iter().collect();
     arrivals.sort_by(|a, b| {
         a.arrival.total_cmp(&b.arrival).then(a.id.uid().cmp(&b.id.uid()))
     });

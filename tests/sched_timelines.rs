@@ -1,6 +1,7 @@
-//! Scheduled-mode timelines are stored packed: one 4-byte word per
-//! recorded event, sealed exact-size, so a launch holding every warp's
-//! timeline until the replay costs ~4 B per memory touch.
+//! Scheduled-mode timelines are stored packed: one byte per recorded
+//! event, plus a continuation byte per further 5-bit chunk of a gap of
+//! 32 or more instructions, sealed exact-size, so a launch holding every
+//! warp's timeline until the replay costs ~1 B per memory touch.
 
 use locassm::kernels::kernel::{extension_kernel, KernelJob};
 use locassm::kernels::layout::arena_footprint;
@@ -9,11 +10,18 @@ use locassm::simt::{launch_warps, ExecMode, LaunchConfig};
 use locassm::specs::{effective_hierarchy, DeviceId};
 use locassm::workloads::paper_dataset;
 
-/// Per-warp allowance over 4 B × events for the sealed word vectors.
+/// Per-warp allowance for the sealed word vectors.
 const SLACK_BYTES_PER_WARP: usize = 16;
+/// Bytes per decoded event, continuation bytes included.
+const BYTES_PER_EVENT: f64 = 1.05;
+
+/// Heap bytes a sealed word vector holds.
+fn heap_bytes<T>(words: &Vec<T>) -> usize {
+    words.capacity() * std::mem::size_of::<T>()
+}
 
 #[test]
-fn scheduled_launch_timelines_cost_four_bytes_per_event() {
+fn scheduled_launch_timelines_cost_about_one_byte_per_event() {
     let ds = paper_dataset(77, 0.002, 99);
     let cfg = GpuConfig::for_device(DeviceId::Mi250x);
     let schedule = cfg.retry.schedule(ds.k);
@@ -56,17 +64,16 @@ fn scheduled_launch_timelines_cost_four_bytes_per_event() {
     let out = launch_warps(launch_cfg, &jobs, extension_kernel);
     assert_eq!(out.timelines.len(), jobs.len(), "one timeline per warp");
 
-    let words: usize = out.timelines.iter().map(|t| t.events.len()).sum();
-    let capacity: usize = out.timelines.iter().map(|t| t.events.capacity()).sum();
-    assert!(words > 1000, "the launch must record memory traffic, got {words} words");
+    let events: usize = out.timelines.iter().map(|t| t.iter().count()).sum();
+    let bytes: usize = out.timelines.iter().map(|t| heap_bytes(&t.events)).sum();
+    assert!(events > 1000, "the launch must record memory traffic, got {events} events");
+    let budget = BYTES_PER_EVENT * events as f64 + (SLACK_BYTES_PER_WARP * jobs.len()) as f64;
     assert!(
-        capacity * 4 <= words * 4 + SLACK_BYTES_PER_WARP * out.timelines.len(),
-        "sealed timelines keep growth slack: capacity {capacity} words for {words} recorded"
+        bytes as f64 <= budget,
+        "sealed timelines hold {bytes} B for {events} events ({:.4} B/event), budget {budget:.0} B",
+        bytes as f64 / events as f64
     );
     for t in &out.timelines {
-        // Real gaps are far below 2^29 instructions, so no word is a
-        // continuation and the word count is the event count.
-        assert_eq!(t.events.len(), t.iter().count(), "warp {}: continuation words", t.warp_id);
         assert!(t.iter().all(|e| match e {
             locassm::simt::TimelineEvent::Mem { at, .. }
             | locassm::simt::TimelineEvent::PhaseEnter { at, .. }
