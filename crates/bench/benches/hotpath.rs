@@ -1,21 +1,18 @@
 //! The warp hot path: scalar vs vectorized interpreter throughput.
 //!
-//! Three groups of profiling evidence for the lane-vectorization work:
+//! Two groups of profiling evidence for the lane-vectorization work:
 //!
 //! * `hotpath_exec` — full simulated kernel runs, `scalar` vs
 //!   `vectorized`, one pair per dialect on its native device. The
 //!   acceptance bar (vectorized ≥ 1.15× scalar on CUDA/A100) is enforced
 //!   by `crates/bench/tests/host_throughput.rs`; this group shows the margin.
-//! * `hotpath_tuned` — the vectorized engine with paper-default knobs vs
-//!   the autotuned choice (`kernels::tune`, swept once outside the timing
-//!   loop and replayed from its process-wide cache).
 //! * `warp_reset` — the micro-cost behind the pooled-path fix: resetting
 //!   a dirty pooled warp is O(1) bookkeeping under lazy arena zeroing,
 //!   versus constructing a fresh warp with its zeroed slab.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use gpu_specs::DeviceId;
-use locassm_kernels::{run_local_assembly, tune, GpuConfig};
+use locassm_kernels::{run_local_assembly, GpuConfig};
 use memhier::HierarchyConfig;
 use simt::{ExecMode, Warp};
 use std::hint::black_box;
@@ -46,27 +43,6 @@ fn bench_exec_modes(c: &mut Criterion) {
     g.finish();
 }
 
-fn bench_tuned_vs_default(c: &mut Criterion) {
-    let ds = paper_dataset(21, 0.005, 11);
-    let mut g = c.benchmark_group("hotpath_tuned");
-    g.sample_size(10);
-    let mut cfg = GpuConfig::for_device(DeviceId::A100);
-    cfg.parallel = false;
-    g.bench_function("default_knobs", |b| {
-        b.iter(|| run_local_assembly(black_box(&ds), &cfg).profile.total.warps)
-    });
-    let mut tuned_cfg = cfg.clone();
-    let choice = tune(&ds, &mut tuned_cfg);
-    eprintln!(
-        "autotuned A100: reserve={} batch={:?} probe={:?} ({:.3}s modeled)",
-        choice.slot_reserve, choice.max_batch, choice.probe, choice.predicted_seconds
-    );
-    g.bench_function("autotuned_knobs", |b| {
-        b.iter(|| run_local_assembly(black_box(&ds), &tuned_cfg).profile.total.warps)
-    });
-    g.finish();
-}
-
 fn bench_warp_reset(c: &mut Criterion) {
     let mut g = c.benchmark_group("warp_reset");
     let hier = HierarchyConfig::tiny();
@@ -83,5 +59,5 @@ fn bench_warp_reset(c: &mut Criterion) {
     g.finish();
 }
 
-criterion_group!(benches, bench_exec_modes, bench_tuned_vs_default, bench_warp_reset);
+criterion_group!(benches, bench_exec_modes, bench_warp_reset);
 criterion_main!(benches);

@@ -11,7 +11,7 @@
 //! reproduces Table II's counts exactly.
 
 use gpu_specs::DeviceId;
-use locassm_bench::cli::{require_arg, require_ok};
+use locassm_bench::cli::{parse_scale, require_arg, require_ok};
 use locassm_core::io::Dataset;
 use locassm_kernels::{run_local_assembly, GpuConfig, KernelProfile};
 use perfmodel::plot::{BarChart, LogLogScatter, Series};
@@ -54,7 +54,7 @@ fn parse_args() -> Args {
         match a.as_str() {
             "--scale" => {
                 args.scale = require_arg(
-                    it.next().and_then(|v| v.parse().ok()),
+                    it.next().and_then(|v| parse_scale(&v)),
                     "--scale <positive float>",
                 );
             }
@@ -86,7 +86,7 @@ fn parse_args() -> Args {
                 eprintln!(
                     "usage: repro [--scale S] [--seed N] [--serial] [--csv DIR] \
                      [--trace PATH.json] [--sanitize] [--sched] [--sched-trace PATH.json] \
-                     <table1..table7|fig5..fig9|ablation|whatif|divergence|scaling|adept|packed|all>..."
+                     <table1..table7|fig5..fig9|ablation|whatif|divergence|adept|packed|all>..."
                 );
                 std::process::exit(0);
             }
@@ -96,9 +96,9 @@ fn parse_args() -> Args {
     if args.artifacts.is_empty() && args.trace.is_none() && !args.sanitize && !args.sched {
         args.artifacts.push("all".to_string());
     }
-    const KNOWN: [&str; 16] = [
+    const KNOWN: [&str; 15] = [
         "table1", "table2", "table3", "table4", "table5", "table6", "table7", "fig5", "fig6",
-        "fig7", "fig8", "fig9", "ablation", "whatif", "divergence", "scaling",
+        "fig7", "fig8", "fig9", "ablation", "whatif", "divergence",
     ];
     for a in &args.artifacts {
         let known = KNOWN.contains(&a.as_str())
@@ -604,41 +604,6 @@ fn divergence(args: &Args) {
     );
 }
 
-fn scaling(args: &Args) {
-    // Multi-device distribution (the MetaHipMer per-node offload context):
-    // rank sweep with per-policy makespan and imbalance.
-    use locassm_kernels::{run_multi_gpu, Partition};
-    let ds = paper_dataset(21, (0.05_f64).min(args.scale), args.seed);
-    println!("## Multi-GPU scaling (k=21 dataset, {} contigs)\n", ds.jobs.len());
-    let mut t = Table::new("Distributed local assembly across simulated A100 ranks").header([
-        "ranks",
-        "policy",
-        "makespan (s)",
-        "imbalance",
-        "speedup",
-    ]);
-    let mut cfg = GpuConfig::for_device(DeviceId::A100);
-    cfg.parallel = args.parallel;
-    let single = run_local_assembly(&ds, &cfg).profile.seconds();
-    for ranks in [1usize, 2, 4, 8] {
-        for (name, policy) in [
-            ("round-robin", Partition::RoundRobin),
-            ("blocked", Partition::Blocked),
-            ("work-balanced", Partition::WorkBalanced),
-        ] {
-            let r = run_multi_gpu(&ds, &cfg, ranks, policy);
-            t.row([
-                ranks.to_string(),
-                name.to_string(),
-                f(r.makespan_seconds(), 6),
-                f(r.imbalance(), 3),
-                format!("{:.2}x", single / r.makespan_seconds()),
-            ]);
-        }
-    }
-    println!("{}", t.render());
-}
-
 fn whatif(args: &Args) {
     // The paper's §V-E projection, executable: sweep the L2 size of each
     // device model and watch HBM traffic / estimated time respond. Run at
@@ -1022,9 +987,6 @@ fn main() {
     }
     if wants("divergence") {
         divergence(&args);
-    }
-    if wants("scaling") {
-        scaling(&args);
     }
     if wants("adept") {
         adept_compare(&args);

@@ -29,6 +29,17 @@ pub fn require_arg<T>(value: Option<T>, usage: &str) -> T {
     }
 }
 
+/// Parse a dataset scale: a finite number above zero, else `None`.
+pub fn parse_scale(value: &str) -> Option<f64> {
+    value.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+}
+
+/// Parse a k-mer size that has a paper dataset (21, 33, 55 or 77), else
+/// `None`.
+pub fn parse_k(value: &str) -> Option<usize> {
+    value.parse().ok().filter(|k| matches!(k, 21 | 33 | 55 | 77))
+}
+
 /// Unwrap a runtime result or exit with a contextual message.
 ///
 /// `context` names the operation, e.g. `"write dataset data/foo.dat"`.
@@ -51,5 +62,7 @@ mod tests {
         assert_eq!(require_arg(Some(3u32), "--n <n>"), 3);
         let r: Result<u32, std::num::ParseIntError> = "7".parse();
         assert_eq!(require_ok(r, "parse"), 7);
+        assert_eq!(parse_scale("0.5"), Some(0.5));
+        assert_eq!(parse_k("77"), Some(77));
     }
 }

@@ -1,18 +1,19 @@
 //! Host-side bars for the launch engine: pooled warps cut heap traffic per
-//! warp, the vectorized interpreter beats the scalar baseline, and pooling
-//! never costs wall clock. The benchmark package (`benchmark/`) reports
-//! the same quantities per workload (`contigs_per_s`,
+//! warp, the vectorized interpreter beats the scalar baseline, pooling
+//! never costs wall clock, and tracing, fault plans and the sanitizer cost
+//! nothing while switched off. The benchmark package (`benchmark/`)
+//! reports the same quantities per workload (`contigs_per_s`,
 //! `simt.allocs_per_warp`, `simt.alloc_bytes_per_warp`,
 //! `simt.pool_reuse_frac`); these tests keep the floors under `cargo test`.
 //!
-//! Both tests read process-global allocator counters and wall clock, so
-//! each holds `alloc_count::measurement_lock` for its whole window.
+//! Every test reads process-global allocator counters, so each holds
+//! `alloc_count::measurement_lock` for its whole window.
 
 use gpu_specs::DeviceId;
 use locassm_bench::alloc_count::{self, measurement_lock};
 use locassm_core::io::Dataset;
 use locassm_kernels::{run_local_assembly, GpuConfig};
-use simt::ExecMode;
+use simt::{ExecMode, FaultPlan, SanitizerConfig};
 use std::time::Instant;
 use workloads::paper_dataset;
 
@@ -123,4 +124,36 @@ fn hot_path_meets_the_throughput_bars() {
         pooled.wall_s,
         scalar.wall_s
     );
+}
+
+/// Heap calls, heap bytes and warp instructions of one run of `cfg`.
+fn footprint(ds: &Dataset, cfg: &GpuConfig) -> (u64, u64, u64) {
+    let before = alloc_count::snapshot();
+    let instructions = run_local_assembly(ds, cfg).profile.total.warp_instructions;
+    let d = alloc_count::snapshot().since(&before);
+    (d.allocs, d.bytes, instructions)
+}
+
+/// Switched-off observers are free, exactly: a fault plan that never
+/// fires, and a plain run right after a traced or a sanitized one, make
+/// the same heap calls, request the same bytes and interpret the same
+/// warp instructions as a plain run. Counts, not wall clock, so the bar is
+/// exact on any host.
+#[test]
+fn switched_off_observers_cost_nothing() {
+    let _serial = measurement_lock();
+    let ds = paper_dataset(21, 0.005, 11);
+    let plain = a100(true, ExecMode::Vectorized);
+    let _ = run_local_assembly(&ds, &plain);
+    let baseline = footprint(&ds, &plain);
+
+    let unarmed = GpuConfig { fault: Some(FaultPlan::table_full(u64::MAX)), ..plain.clone() };
+    assert_eq!(footprint(&ds, &unarmed), baseline, "fault plan that never fires");
+
+    let _ = run_local_assembly(&ds, &GpuConfig { trace: true, ..plain.clone() });
+    assert_eq!(footprint(&ds, &plain), baseline, "plain run after a traced run");
+
+    let sanitized = GpuConfig { sanitize: SanitizerConfig::all(), ..plain.clone() };
+    let _ = run_local_assembly(&ds, &sanitized);
+    assert_eq!(footprint(&ds, &plain), baseline, "plain run after a sanitized run");
 }

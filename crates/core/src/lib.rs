@@ -23,25 +23,20 @@
 //! * [`io`] — a plain-text dataset format mirroring the artifact's `.dat`
 //!   files.
 
-pub mod align;
 pub mod assemble;
 pub mod binning;
 pub mod contig;
 pub mod dna;
 pub mod estimate;
-pub mod fastx;
-pub mod global_asm;
 pub mod ht;
 pub mod io;
 pub mod kmer;
-pub mod kmer_count;
 pub mod murmur;
 pub mod packed;
 pub mod pipeline;
 pub mod quality;
 pub mod read;
 pub mod retry;
-pub mod stats;
 pub mod tenant;
 pub mod walk;
 
@@ -52,11 +47,9 @@ pub use dna::{base_index, complement, index_base, revcomp, valid_seq};
 pub use estimate::estimate_slots;
 pub use ht::{CpuHashTable, HtValue};
 pub use kmer::{ext_vote, KmerIter};
-pub use kmer_count::KmerSpectrum;
 pub use murmur::{murmur_hash_aligned2, murmur_intops, MurmurOpBreakdown};
 pub use packed::PackedKmer;
 pub use read::Read;
 pub use retry::RetryPolicy;
-pub use stats::AssemblyStats;
 pub use tenant::{RequestId, TenantId};
 pub use walk::{mer_walk, Walk, WalkConfig, WalkState};

@@ -84,12 +84,12 @@ pub struct KernelJob<'a> {
     /// attempts; the launch layer raises it when escalating a
     /// `HashTableFull` fault (grown-table retry).
     pub slot_reserve: u32,
-    /// Probe-cursor strategy for every table access of the job (a tuning
-    /// dimension — see [`crate::tune`](mod@crate::tune); extensions are invariant).
+    /// Probe-cursor strategy for every table access of the job
+    /// (extensions are invariant across strategies).
     pub probe: ProbeStrategy,
     /// Table organization for every hash-table access of the job (see
-    /// [`crate::table`]); like `probe`, a pure tuning dimension —
-    /// extensions are invariant across layouts.
+    /// [`crate::table`]); like `probe`, extensions are invariant across
+    /// layouts.
     pub layout: TableLayoutKind,
     /// Arm in-kernel incremental resizing (see [`crate::resize`]): the
     /// insert dialects grow the table past its high-water mark instead of

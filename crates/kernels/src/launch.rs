@@ -75,8 +75,8 @@ pub struct GpuConfig {
     pub exec: ExecMode,
     /// Base multiplier on the host-side hash-table slot estimate applied
     /// to every first-attempt job (escalation grows it further on
-    /// `HashTableFull`). 1 is the paper's sizing; the autotuner may pick a
-    /// larger reserve to shorten probe chains at the cost of table bytes.
+    /// `HashTableFull`). 1 is the paper's sizing; a larger reserve
+    /// shortens probe chains at the cost of table bytes.
     pub slot_reserve: u32,
     /// Probe-cursor strategy for every job (insert and walk lookup share
     /// it). Extensions are invariant across strategies — only the probe
@@ -563,11 +563,10 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
                 continue;
             }
 
-            // Optional launch cap (an autotuner dimension): split the side
-            // into chunks of at most `max_batch` jobs, launched in job
-            // order, so run-global job/fault ids match the unchunked
-            // numbering. Each chunk sizes its own L2 share from its
-            // resident-warp count.
+            // Optional launch cap: split the side into chunks of at most
+            // `max_batch` jobs, launched in job order, so run-global
+            // job/fault ids match the unchunked numbering. Each chunk sizes
+            // its own L2 share from its resident-warp count.
             let chunk_len =
                 cfg.max_batch.unwrap_or(usize::MAX).clamp(1, kernel_jobs.len());
             for chunk_start in (0..kernel_jobs.len()).step_by(chunk_len) {
@@ -1202,6 +1201,45 @@ mod tests {
         assert_eq!(a.extensions, b.extensions);
         // Work totals match too; only batch structure differs.
         assert_eq!(a.profile.total.int_instructions, b.profile.total.int_instructions);
+    }
+
+    /// Every launch knob that may not change results, swept jointly:
+    /// reserve × batch cap × probe × layout × resize. `Some(4)` is the only
+    /// cap that splits this dataset's bins (1, 9, 17 and 1 jobs), so it is
+    /// the sweep's one chunked launch.
+    #[test]
+    fn every_launch_knob_combination_preserves_extensions() {
+        let ds = small_ds();
+        let base_cfg = GpuConfig::for_device(DeviceId::A100);
+        let base = run_local_assembly(&ds, &base_cfg);
+        for slot_reserve in [1, 2] {
+            for max_batch in [None, Some(4), Some(32), Some(128)] {
+                for probe in [ProbeStrategy::Linear, ProbeStrategy::Stride2] {
+                    for layout in TableLayoutKind::ALL {
+                        for resize in [false, true] {
+                            let cfg = GpuConfig {
+                                slot_reserve,
+                                max_batch,
+                                probe,
+                                layout,
+                                resize,
+                                ..base_cfg.clone()
+                            };
+                            let r = run_local_assembly(&ds, &cfg);
+                            assert_eq!(
+                                r.extensions, base.extensions,
+                                "reserve={slot_reserve} batch={max_batch:?} probe={probe:?} \
+                                 layout={layout} resize={resize}"
+                            );
+                            assert!(r.outcomes.iter().all(|o| o.succeeded()));
+                            if max_batch == Some(4) {
+                                assert!(r.profile.batches.len() > base.profile.batches.len());
+                            }
+                        }
+                    }
+                }
+            }
+        }
     }
 }
 

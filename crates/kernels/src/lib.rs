@@ -26,14 +26,11 @@ pub mod insert_hip;
 pub mod insert_sycl;
 pub mod kernel;
 pub mod launch;
-pub mod multi_gpu;
-pub mod pipeline;
 pub mod layout;
 pub mod probe;
 pub mod profile;
 pub mod resize;
 pub mod table;
-pub mod tune;
 pub mod walk;
 
 pub use fault::{JobOutcome, KernelFault};
@@ -42,7 +39,4 @@ pub use launch::{dialect_sanitizer, run_local_assembly, GpuConfig, GpuRunResult}
 pub use probe::ProbeStrategy;
 pub use resize::{ensure_capacity, ht_delete, MAX_RESIZES};
 pub use table::{TableGeometry, TableLayout, TableLayoutKind, TOMBSTONE};
-pub use tune::{tune, tune_with, TuneSpace, TunedChoice};
-pub use multi_gpu::{run_multi_gpu, MultiGpuResult, Partition};
-pub use pipeline::{run_pipeline_gpu, GpuPipelineResult, GpuRoundReport};
 pub use profile::{KernelProfile, PhaseCounters, PhaseStats, SchedProfile, TraceProfile};

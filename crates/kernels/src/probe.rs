@@ -10,8 +10,7 @@ use simt::{LaneVec, Mask, Warp};
 /// walk lookup share the job's strategy, which is what keeps lookups
 /// finding the keys inserts placed. Extensions are invariant across
 /// strategies — the table is a content-addressed set and only the probe
-/// *order* changes — so this is a pure tuning dimension (see
-/// [`crate::tune`](mod@crate::tune)).
+/// *order* changes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum ProbeStrategy {
     /// `slot = (slot + 1) % slots` — the paper listings' linear probe.

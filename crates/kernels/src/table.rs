@@ -72,8 +72,8 @@ pub struct TableGeometry {
     pub front_slots: u32,
 }
 
-/// The identity of a table layout — the value that travels on configs,
-/// jobs and tuner cache keys. [`TableLayoutKind::as_layout`] resolves it
+/// The identity of a table layout — the value that travels on configs
+/// and jobs. [`TableLayoutKind::as_layout`] resolves it
 /// to the shared static implementation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum TableLayoutKind {

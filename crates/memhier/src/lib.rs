@@ -26,14 +26,12 @@ pub mod cache;
 pub mod coalesce;
 pub mod config;
 pub mod hierarchy;
-pub mod mrc;
 pub mod stats;
 
 pub use cache::Cache;
 pub use coalesce::{coalesce_sectors, coalesce_sectors_into, CoalesceResult};
 pub use config::{CacheConfig, HierarchyConfig};
 pub use hierarchy::{AccessKind, MemHierarchy, MemLevel};
-pub use mrc::SectorTrace;
 pub use stats::{LevelStats, MemStats};
 
 /// Address within a simulated (per-warp) global-memory arena.
