@@ -6,7 +6,7 @@
 //! make-data [--scale S] [--seed N] [--out DIR]
 //! ```
 
-use locassm_bench::cli::{parse_scale, require_arg, require_ok};
+use locassm_bench::cli::{parse_scale, require_arg, require_ok, SCALE_USAGE};
 use locassm_core::io::write_dataset;
 use std::fs;
 use std::path::PathBuf;
@@ -19,10 +19,7 @@ fn main() {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale =
-                    require_arg(it.next().and_then(|v| parse_scale(&v)), "--scale <positive float>")
-            }
+            "--scale" => scale = require_arg(it.next().and_then(|v| parse_scale(&v)), SCALE_USAGE),
             "--seed" => seed = require_arg(it.next().and_then(|v| v.parse().ok()), "--seed <n>"),
             "--out" => out = PathBuf::from(require_arg(it.next(), "--out <dir>")),
             other => {

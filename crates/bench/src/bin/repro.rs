@@ -11,7 +11,7 @@
 //! reproduces Table II's counts exactly.
 
 use gpu_specs::DeviceId;
-use locassm_bench::cli::{parse_scale, require_arg, require_ok};
+use locassm_bench::cli::{parse_scale, require_arg, require_ok, SCALE_USAGE};
 use locassm_core::io::Dataset;
 use locassm_kernels::{run_local_assembly, GpuConfig, KernelProfile};
 use perfmodel::plot::{BarChart, LogLogScatter, Series};
@@ -53,10 +53,7 @@ fn parse_args() -> Args {
     while let Some(a) = it.next() {
         match a.as_str() {
             "--scale" => {
-                args.scale = require_arg(
-                    it.next().and_then(|v| parse_scale(&v)),
-                    "--scale <positive float>",
-                );
+                args.scale = require_arg(it.next().and_then(|v| parse_scale(&v)), SCALE_USAGE);
             }
             "--seed" => {
                 args.seed =
@@ -475,8 +472,8 @@ fn ablation(args: &Args) {
 
 fn packed() {
     // §V-E's proposed locality optimization, quantified analytically:
-    // 2-bit packed, inline hash-table keys (core::packed) vs the byte-
-    // string keys the kernel ships with.
+    // 2-bit packed, inline hash-table keys vs the byte-string keys the
+    // kernel ships with.
     let mut t = Table::new(
         "Packed k-mers: theoretical INTOP intensity (Table VI, revisited)",
     )

@@ -10,7 +10,7 @@
 //! exit code 1 on any mismatch.
 
 use gpu_specs::DeviceId;
-use locassm_bench::cli::{parse_k, parse_scale, require_arg};
+use locassm_bench::cli::{parse_k, parse_scale, require_arg, SCALE_USAGE};
 use locassm_core::{assemble_all, AssemblyConfig};
 use locassm_kernels::{run_local_assembly, GpuConfig};
 use workloads::paper_dataset;
@@ -22,10 +22,7 @@ fn main() {
     let mut it = std::env::args().skip(1);
     while let Some(a) = it.next() {
         match a.as_str() {
-            "--scale" => {
-                scale =
-                    require_arg(it.next().and_then(|v| parse_scale(&v)), "--scale <positive float>")
-            }
+            "--scale" => scale = require_arg(it.next().and_then(|v| parse_scale(&v)), SCALE_USAGE),
             "--seed" => seed = require_arg(it.next().and_then(|v| v.parse().ok()), "--seed <n>"),
             "--k" => {
                 ks = vec![require_arg(it.next().and_then(|v| parse_k(&v)), "--k <21|33|55|77>")]

@@ -29,9 +29,15 @@ pub fn require_arg<T>(value: Option<T>, usage: &str) -> T {
     }
 }
 
-/// Parse a dataset scale: a finite number above zero, else `None`.
+/// Usage text for `--scale`, naming the range [`parse_scale`] accepts.
+pub const SCALE_USAGE: &str = "--scale <number in (0, 100]>";
+
+/// Parse a dataset scale: a number above zero and at most 100, else
+/// `None`. The ceiling keeps generation from saturating the contig count
+/// and panicking on allocation; a full-scale run (1.0) already needs
+/// ~4 GB, and every documented run uses 1.0 or less.
 pub fn parse_scale(value: &str) -> Option<f64> {
-    value.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+    value.parse().ok().filter(|s: &f64| *s > 0.0 && *s <= 100.0)
 }
 
 /// Parse a k-mer size that has a paper dataset (21, 33, 55 or 77), else
@@ -64,5 +70,12 @@ mod tests {
         assert_eq!(require_ok(r, "parse"), 7);
         assert_eq!(parse_scale("0.5"), Some(0.5));
         assert_eq!(parse_k("77"), Some(77));
+    }
+
+    #[test]
+    fn scale_has_a_ceiling_of_100() {
+        assert_eq!(parse_scale("100"), Some(100.0));
+        assert_eq!(parse_scale("100.0001"), None);
+        assert_eq!(parse_scale("1e6"), None);
     }
 }

@@ -32,7 +32,10 @@
 use gpu_specs::{ticks_to_seconds, DeviceId};
 use locassm_core::io::Dataset;
 use locassm_core::{ContigJob, Read, RequestId, TenantId};
-use locassm_kernels::{run_local_assembly, GpuConfig, JobOutcome, KernelProfile, TableLayoutKind};
+use locassm_kernels::{
+    job_order, plan_launches, run_local_assembly, GpuConfig, JobOutcome, KernelProfile,
+    TableLayoutKind,
+};
 use locassm_service::{run_service, ExtensionRequest, QueueConfig, ServiceConfig};
 use simt::{ExecMode, FaultPlan};
 use std::collections::{BTreeMap, HashSet};
@@ -151,23 +154,19 @@ pub fn sched(rows: &mut Rows, scale: f64, seed: u64) {
     }
 }
 
-/// Aggregate staged slots and distinct k-mers for one layout, summed over
-/// every job side the launch engine runs (non-empty reads, contig ≥ k).
-fn capacity_summary(ds: &Dataset, layout: TableLayoutKind) -> (u64, u64) {
-    let lay = layout.as_layout();
+/// Aggregate staged slots and distinct k-mers for `cfg`'s layout, summed
+/// over every job side the run launches.
+fn capacity_summary(ds: &Dataset, cfg: &GpuConfig) -> (u64, u64) {
+    let lay = cfg.layout.as_layout();
     let k = ds.k;
     let mut slots = 0u64;
     let mut distinct = 0u64;
-    for job in ds.jobs.iter().filter(|j| j.contig.len() >= k) {
-        for reads in [&job.right_reads, &job.left_reads] {
-            if reads.is_empty() {
-                continue;
-            }
-            let insertions: usize = reads.iter().map(|r| r.kmer_count(k)).sum();
-            slots += lay.geometry(insertions, 1, 0).expect("insertions fit u32").slots as u64;
-            let keys: HashSet<&[u8]> = reads.iter().flat_map(|r| r.seq.windows(k)).collect();
-            distinct += keys.len() as u64;
-        }
+    for (idx, side) in job_order(&plan_launches(ds, cfg)) {
+        let reads = side.reads(&ds.jobs[idx]);
+        let insertions: usize = reads.iter().map(|r| r.kmer_count(k)).sum();
+        slots += lay.geometry(insertions, 1, 0).expect("insertions fit u32").slots as u64;
+        let keys: HashSet<&[u8]> = reads.iter().flat_map(|r| r.seq.windows(k)).collect();
+        distinct += keys.len() as u64;
     }
     (slots, distinct)
 }
@@ -181,7 +180,8 @@ fn layouts(rows: &mut Rows) {
     dataset_rows(rows, "layouts", &ds, scale, seed);
     for layout in TableLayoutKind::ALL {
         let p = format!("layouts.{layout}");
-        let (slots, distinct) = capacity_summary(&ds, layout);
+        let (slots, distinct) =
+            capacity_summary(&ds, &GpuConfig { layout, ..serial(DeviceId::A100) });
         rows.int(format!("{p}.slots"), slots);
         rows.int(format!("{p}.distinct_keys"), distinct);
         let load = if slots == 0 { 0.0 } else { distinct as f64 / slots as f64 };

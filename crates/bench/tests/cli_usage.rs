@@ -11,7 +11,10 @@ fn exit_code(exe: &str, args: &[&str]) -> Option<i32> {
 #[test]
 fn non_positive_or_non_finite_scale_is_a_usage_error() {
     let out = concat!(env!("CARGO_TARGET_TMPDIR"), "/cli_usage_data");
-    for scale in ["0", "-1", "nan", "inf"] {
+    // 1e30 is past the ceiling. Never test a scale such as 1e4..1e9 here:
+    // without the ceiling the binary would try to allocate tens to
+    // hundreds of GB instead of failing at once.
+    for scale in ["0", "-1", "nan", "inf", "1e30"] {
         for (exe, extra) in [
             (env!("CARGO_BIN_EXE_repro"), &["table2"][..]),
             (env!("CARGO_BIN_EXE_verify"), &[][..]),

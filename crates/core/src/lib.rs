@@ -32,7 +32,6 @@ pub mod ht;
 pub mod io;
 pub mod kmer;
 pub mod murmur;
-pub mod packed;
 pub mod pipeline;
 pub mod quality;
 pub mod read;
@@ -48,7 +47,6 @@ pub use estimate::estimate_slots;
 pub use ht::{CpuHashTable, HtValue};
 pub use kmer::{ext_vote, KmerIter};
 pub use murmur::{murmur_hash_aligned2, murmur_intops, MurmurOpBreakdown};
-pub use packed::PackedKmer;
 pub use read::Read;
 pub use retry::RetryPolicy;
 pub use tenant::{RequestId, TenantId};

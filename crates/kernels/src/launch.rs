@@ -2,6 +2,11 @@
 //! estimation → batch creation → GPU initialize → right extension kernel →
 //! left extension kernel → append extensions.
 //!
+//! A run is three stages. [`plan_launches`] fixes every launch up front:
+//! its contigs, side, band, arena hint, L2 share and scheduled residency.
+//! [`run_local_assembly`] then launches the plan in order and settles each
+//! launch's results into per-contig extensions and outcomes.
+//!
 //! The batch assembly is zero-copy: right-extension [`KernelJob`]s borrow
 //! contig and read slices straight out of the `Dataset`, left-extension
 //! jobs own only the reverse-complement transform, and every launch goes
@@ -21,8 +26,11 @@ use gpu_specs::{
     DeviceSpec, ModelParams, TimeEstimate,
 };
 use locassm_core::io::Dataset;
-use locassm_core::walk::WalkConfig;
-use locassm_core::{bin_contigs, BinningPolicy, ExtensionResult, RetryPolicy};
+use locassm_core::walk::{WalkConfig, WalkState};
+use locassm_core::{
+    bin_contigs, revcomp, BinningPolicy, ContigJob, ExtensionResult, Read, RetryPolicy,
+};
+use memhier::HierarchyConfig;
 use simt::{
     launch_warps, AggCounters, ExecMode, FaultPlan, LaunchConfig, LaunchOutput, SanReport,
     SanitizerConfig, WarpCounters,
@@ -54,11 +62,11 @@ pub struct GpuConfig {
     pub custom_spec: Option<DeviceSpec>,
     /// Attach a trace sink to every warp and collect per-warp
     /// [`simt::WarpTrace`]s in [`GpuRunResult::traces`] (run-global warp
-    /// ids, in launch order: batches × {right, left} × job order).
+    /// ids, in [`plan_launches`] order).
     pub trace: bool,
     /// Deterministic fault-injection plan threaded to every launch
     /// (`None`, the default, injects nothing). Plan job ids use the
-    /// run-global *job* numbering — batches × {right, left} × job order —
+    /// run-global *job* numbering, a job's position in [`job_order`],
     /// which is stable whether or not earlier jobs faulted (escalation
     /// retries are not counted).
     pub fault: Option<FaultPlan>,
@@ -177,8 +185,8 @@ pub struct GpuRunResult {
     /// left-extension runs' outcomes combined with
     /// [`JobOutcome::combine`]. All `Ok` on a fault-free run.
     pub outcomes: Vec<JobOutcome>,
-    /// Sanitizer findings merged across every launch of the run (batches ×
-    /// {right, left} × job order, escalation retries appended in place).
+    /// Sanitizer findings merged across every launch of the run (in
+    /// [`plan_launches`] order, escalation retries appended in place).
     /// Empty — and free — unless [`GpuConfig::sanitize`] enables a check.
     pub san: SanReport,
     /// Scheduled-replay execution slices, on a run-global tick clock
@@ -205,6 +213,29 @@ fn run_extension(
         );
     }
     r
+}
+
+/// The engine configuration of one launch: `cfg`'s width, parallelism,
+/// tracing, pooling, fault plan, dialect sanitizer and exec mode, with the
+/// launch's own hierarchy, arena hint and first run-global job id.
+fn launch_config(
+    cfg: &GpuConfig,
+    hierarchy: HierarchyConfig,
+    arena_hint: u64,
+    fault_base: u64,
+) -> LaunchConfig {
+    LaunchConfig {
+        width: cfg.width,
+        hierarchy,
+        parallel: cfg.parallel,
+        trace: cfg.trace,
+        pool: cfg.pool,
+        arena_hint,
+        fault: cfg.fault,
+        fault_base,
+        sanitize: dialect_sanitizer(cfg.sanitize, cfg.dialect),
+        exec: cfg.exec,
+    }
 }
 
 /// Escalation ladder for a faulted job: `(k, slot_reserve)` pairs to
@@ -262,29 +293,19 @@ fn escalate_job(
         let mut retry = job.clone();
         retry.k = k;
         retry.slot_reserve = reserve;
-        let retry_schedule = cfg.retry.schedule(k);
         let arena_hint = arena_footprint(
             retry.contig.len(),
             &retry.reads,
-            &retry_schedule,
+            &cfg.retry.schedule(k),
             retry.walk,
             reserve,
             retry.layout,
             retry.resize,
         );
-        let armed = cfg.fault.is_some_and(|p| attempts < p.attempts);
-        let launch_cfg = LaunchConfig {
-            width: cfg.width,
-            hierarchy: effective_hierarchy(spec, 1),
-            parallel: false,
-            trace: cfg.trace,
-            pool: cfg.pool,
-            arena_hint,
-            fault: if armed { cfg.fault } else { None },
-            fault_base: victim_id,
-            sanitize: dialect_sanitizer(cfg.sanitize, cfg.dialect),
-            exec: cfg.exec,
-        };
+        let mut launch_cfg =
+            launch_config(cfg, effective_hierarchy(spec, 1), arena_hint, victim_id);
+        launch_cfg.parallel = false;
+        launch_cfg.fault = cfg.fault.filter(|p| attempts < p.attempts);
         let out = launch_warps(launch_cfg, std::slice::from_ref(&retry), run_extension);
         // A single resident warp hides nothing: the retry replays at
         // residency 1.
@@ -482,202 +503,179 @@ fn fold_phases(
     (construct, walk_agg)
 }
 
-/// Run the full local assembly pipeline for a dataset on a simulated GPU.
-pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
-    let spec = cfg.spec();
-    let k = ds.k;
+/// Which contig end a launch extends. Left walks run on the reverse
+/// complement ([`ContigJob::left_as_right`]) and are flipped back when
+/// settled.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Side {
+    Right,
+    Left,
+}
 
-    let batches = bin_contigs(&ds.jobs, cfg.binning);
+impl Side {
+    /// The reads `job` contributes to this side, before any transform.
+    pub fn reads(self, job: &ContigJob) -> &[Read] {
+        match self {
+            Side::Right => &job.right_reads,
+            Side::Left => &job.left_reads,
+        }
+    }
+}
 
-    let mut ledger = Ledger::default();
-    // Run-global job numbering (batches × {right, left} × job order) —
-    // the id space fault plans target. Escalation retries are not
-    // counted, so ids are stable whether or not earlier jobs faulted.
-    let mut jobs_launched: u64 = 0;
-    let mut outcomes: Vec<JobOutcome> = vec![JobOutcome::Ok; ds.jobs.len()];
-    let sanitize = dialect_sanitizer(cfg.sanitize, cfg.dialect);
+/// One kernel launch of a run, fixed before anything launches.
+#[derive(Debug, Clone)]
+pub struct PlannedLaunch {
+    /// Read-count band of the bin the launch belongs to.
+    pub band: usize,
+    pub side: Side,
+    /// Dataset indices of the launched contigs, in job order.
+    pub jobs: Vec<usize>,
+    /// Host-side size estimation (Fig. 3): the largest job's arena bytes
+    /// over the retry schedule, so staging never regrows a pooled arena.
+    pub arena_hint: u64,
+    /// Each warp's view of the memory hierarchy: the L2 share of the
+    /// launch's resident warps.
+    pub hierarchy: HierarchyConfig,
+    /// Warps per compute unit the scheduled replay keeps resident: what
+    /// the largest staged footprint fits in the L2 share.
+    pub residency: u32,
+}
 
-    // Results indexed by job position.
-    let mut right: Vec<(Vec<u8>, locassm_core::WalkState)> =
-        vec![(Vec::new(), locassm_core::WalkState::End); ds.jobs.len()];
-    let mut left = right.clone();
-
-    // Retry schedule and side-skip threshold are launch-invariant: hoist
-    // them out of the per-job loop (the schedule allocates a Vec).
-    let schedule = cfg.retry.schedule(k);
-    let min_k = schedule.iter().copied().min().unwrap_or(k);
-
-    for batch in &batches {
-        // Right extension kernel, then left extension kernel (Fig. 3).
-        for side in [Side::Right, Side::Left] {
-            let mut indices: Vec<usize> = Vec::with_capacity(batch.jobs.len());
-            let mut kernel_jobs: Vec<KernelJob<'_>> = Vec::with_capacity(batch.jobs.len());
-            for &idx in &batch.jobs {
+impl PlannedLaunch {
+    /// The launch's kernel jobs in job order, carrying `cfg`'s table
+    /// policy. Right-side jobs borrow from `ds`; left-side jobs own their
+    /// reverse-complement transform, so build them only to launch them.
+    pub fn kernel_jobs<'a>(&self, ds: &'a Dataset, cfg: &'a GpuConfig) -> Vec<KernelJob<'a>> {
+        let (k, walk, retry, dialect) = (ds.k, cfg.walk, &cfg.retry, cfg.dialect);
+        self.jobs
+            .iter()
+            .map(|&idx| {
                 let j = &ds.jobs[idx];
-                // The host skips contigs with no work for this side under
-                // any k in the retry schedule.
-                let job = match side {
+                let mut job = match self.side {
                     Side::Right => {
-                        if j.contig.len() < min_k || j.right_reads.is_empty() {
-                            continue;
-                        }
-                        // Zero-copy: borrow sequence data from the dataset.
-                        KernelJob::borrowed(
-                            &j.contig,
-                            &j.right_reads,
-                            k,
-                            cfg.walk,
-                            &cfg.retry,
-                            cfg.dialect,
-                        )
+                        KernelJob::borrowed(&j.contig, &j.right_reads, k, walk, retry, dialect)
                     }
                     Side::Left => {
-                        if j.contig.len() < min_k || j.left_reads.is_empty() {
-                            continue;
-                        }
-                        // Left walks run on the reverse complement: the
-                        // transform owns its (genuinely new) storage.
                         let t = j.left_as_right();
-                        KernelJob::transformed(
-                            t.contig,
-                            t.right_reads,
-                            k,
-                            cfg.walk,
-                            &cfg.retry,
-                            cfg.dialect,
-                        )
+                        KernelJob::transformed(t.contig, t.right_reads, k, walk, retry, dialect)
                     }
                 };
-                // Tuned knobs ride on the job: base table reserve, probe
-                // strategy and table layout (escalation grows the reserve
-                // further).
-                let mut job = job;
                 job.slot_reserve = cfg.slot_reserve.max(1);
                 job.probe = cfg.probe;
                 job.layout = cfg.layout;
                 job.resize = cfg.resize;
-                indices.push(idx);
-                kernel_jobs.push(job);
-            }
-            if kernel_jobs.is_empty() {
+                job
+            })
+            .collect()
+    }
+}
+
+/// Plan a run's launches, in launch order (Fig. 3): each bin's right side,
+/// then its left side, each split into chunks of at most
+/// [`GpuConfig::max_batch`] jobs. A contig side is skipped when the contig
+/// is shorter than every k of the retry schedule or the side has no reads.
+pub fn plan_launches(ds: &Dataset, cfg: &GpuConfig) -> Vec<PlannedLaunch> {
+    let spec = cfg.spec();
+    let schedule = cfg.retry.schedule(ds.k);
+    let min_k = schedule.iter().copied().min().unwrap_or(ds.k);
+    let (walk, reserve, layout, resize) =
+        (cfg.walk, cfg.slot_reserve.max(1), cfg.layout, cfg.resize);
+    let mut plan = Vec::new();
+    for batch in bin_contigs(&ds.jobs, cfg.binning) {
+        for side in [Side::Right, Side::Left] {
+            let jobs: Vec<usize> = batch
+                .jobs
+                .iter()
+                .copied()
+                .filter(|&i| {
+                    let j = &ds.jobs[i];
+                    j.contig.len() >= min_k && !side.reads(j).is_empty()
+                })
+                .collect();
+            if jobs.is_empty() {
                 continue;
             }
-
-            // Optional launch cap: split the side into chunks of at most
-            // `max_batch` jobs, launched in job order, so run-global
-            // job/fault ids match the unchunked numbering. Each chunk sizes
-            // its own L2 share from its resident-warp count.
-            let chunk_len =
-                cfg.max_batch.unwrap_or(usize::MAX).clamp(1, kernel_jobs.len());
-            for chunk_start in (0..kernel_jobs.len()).step_by(chunk_len) {
-                let chunk_end = (chunk_start + chunk_len).min(kernel_jobs.len());
-                let jobs_chunk = &kernel_jobs[chunk_start..chunk_end];
-                let idx_chunk = &indices[chunk_start..chunk_end];
-
-                // Host-side size estimation (Fig. 3): pre-size pooled arenas to
-                // the largest per-warp slab so staging never regrows them.
-                let arena_hint = jobs_chunk
-                    .iter()
-                    .map(|j| {
-                        arena_footprint(
-                            j.contig.len(),
-                            &j.reads,
-                            &schedule,
-                            j.walk,
-                            j.slot_reserve,
-                            j.layout,
-                            j.resize,
-                        )
-                    })
-                    .max()
-                    .unwrap_or(0);
-                let hierarchy = effective_hierarchy(spec, jobs_chunk.len() as u64);
-                let side_base = jobs_launched;
-                let launch_cfg = LaunchConfig {
-                    width: cfg.width,
-                    hierarchy,
-                    parallel: cfg.parallel,
-                    trace: cfg.trace,
-                    pool: cfg.pool,
-                    arena_hint,
-                    fault: cfg.fault,
-                    fault_base: side_base,
-                    sanitize,
-                    exec: cfg.exec,
-                };
-                let out = launch_warps(launch_cfg, jobs_chunk, run_extension);
-                jobs_launched += jobs_chunk.len() as u64;
-                // The replay's residency is what the chunk's largest staged
-                // footprint supports in its L2 share.
-                let footprint = jobs_chunk
-                    .iter()
-                    .map(|j| {
-                        stage_footprint(
-                            j.contig.len(),
-                            &j.reads,
-                            j.k,
-                            j.walk,
-                            j.slot_reserve,
-                            j.layout,
-                            j.resize,
-                        )
-                    })
-                    .max()
-                    .unwrap_or(0);
-                let results =
-                    ledger.fold(spec, cfg, out, scheduled_residency(spec, footprint), batch.band);
-
-                for (local, (&idx, r)) in idx_chunk.iter().zip(results).enumerate() {
-                    let (outcome, o) = match r {
-                        Ok(o) => (JobOutcome::Ok, Some(o)),
-                        Err(fault) => {
-                            // Per-job isolation: one faulting job degrades to
-                            // an outcome; the rest of the batch already ran
-                            // to completion untouched.
-                            escalate_job(
-                                cfg,
-                                spec,
-                                &jobs_chunk[local],
-                                side_base + local as u64,
-                                fault,
-                                batch.band,
-                                &mut ledger,
-                            )
-                        }
-                    };
-                    outcomes[idx] = outcomes[idx].combine(outcome);
-                    let Some(o) = o else { continue };
-                    match side {
-                        Side::Right => right[idx] = (o.extension, o.state),
-                        Side::Left => {
-                            // Left walks ran on the reverse complement.
-                            left[idx] = (locassm_core::revcomp(&o.extension), o.state);
-                        }
-                    }
+            let chunk_len = cfg.max_batch.unwrap_or(usize::MAX).clamp(1, jobs.len());
+            for chunk in jobs.chunks(chunk_len) {
+                // The reverse complement keeps every length, so the
+                // untransformed reads price either side exactly.
+                let (mut arena_hint, mut footprint) = (0, 0);
+                for &i in chunk {
+                    let (len, reads) = (ds.jobs[i].contig.len(), side.reads(&ds.jobs[i]));
+                    arena_hint = arena_hint
+                        .max(arena_footprint(len, reads, &schedule, walk, reserve, layout, resize));
+                    footprint = footprint
+                        .max(stage_footprint(len, reads, ds.k, walk, reserve, layout, resize));
                 }
+                plan.push(PlannedLaunch {
+                    band: batch.band,
+                    side,
+                    jobs: chunk.to_vec(),
+                    arena_hint,
+                    hierarchy: effective_hierarchy(spec, chunk.len() as u64),
+                    residency: scheduled_residency(spec, footprint),
+                });
             }
         }
     }
+    plan
+}
 
-    let extensions = ds
+/// The run-global job order of a plan: `(dataset index, side)` of every
+/// launched job. A job's position here is its run-global id, the id space
+/// [`GpuConfig::fault`] plans target; chunking does not change it.
+pub fn job_order(plan: &[PlannedLaunch]) -> impl Iterator<Item = (usize, Side)> + '_ {
+    plan.iter().flat_map(|l| l.jobs.iter().map(move |&idx| (idx, l.side)))
+}
+
+/// Run the full local assembly pipeline for a dataset on a simulated GPU:
+/// plan every launch, launch each in order, and settle its results.
+pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
+    let spec = cfg.spec();
+    let mut ledger = Ledger::default();
+    let mut outcomes = vec![JobOutcome::Ok; ds.jobs.len()];
+    let mut extensions: Vec<ExtensionResult> = ds
         .jobs
         .iter()
-        .enumerate()
-        .map(|(i, j)| ExtensionResult {
+        .map(|j| ExtensionResult {
             id: j.id,
-            right: std::mem::take(&mut right[i].0),
-            left: std::mem::take(&mut left[i].0),
-            right_state: right[i].1,
-            left_state: left[i].1,
+            right: Vec::new(),
+            left: Vec::new(),
+            right_state: WalkState::End,
+            left_state: WalkState::End,
         })
         .collect();
+    // Run-global id of the next launch's first job.
+    let mut first_id = 0u64;
+    for launch in plan_launches(ds, cfg) {
+        let jobs = launch.kernel_jobs(ds, cfg);
+        let launch_cfg = launch_config(cfg, launch.hierarchy, launch.arena_hint, first_id);
+        let out = launch_warps(launch_cfg, &jobs, run_extension);
+        let results = ledger.fold(spec, cfg, out, launch.residency, launch.band);
+        for (((&idx, job), r), id) in launch.jobs.iter().zip(&jobs).zip(results).zip(first_id..) {
+            let (outcome, o) = match r {
+                Ok(o) => (JobOutcome::Ok, Some(o)),
+                // Per-job isolation: one faulting job degrades to an
+                // outcome; the rest of the launch already ran untouched.
+                Err(fault) => escalate_job(cfg, spec, job, id, fault, launch.band, &mut ledger),
+            };
+            outcomes[idx] = outcomes[idx].combine(outcome);
+            let Some(o) = o else { continue };
+            let e = &mut extensions[idx];
+            match launch.side {
+                Side::Right => (e.right, e.right_state) = (o.extension, o.state),
+                Side::Left => (e.left, e.left_state) = (revcomp(&o.extension), o.state),
+            }
+        }
+        first_id += jobs.len() as u64;
+    }
 
     GpuRunResult {
         extensions,
         profile: KernelProfile {
             device: cfg.device,
             dialect: cfg.dialect,
-            k,
+            k: ds.k,
             total: ledger.total,
             phases: ledger.phases,
             batches: ledger.batches,
@@ -687,12 +685,6 @@ pub fn run_local_assembly(ds: &Dataset, cfg: &GpuConfig) -> GpuRunResult {
         san: ledger.san,
         sched_tracks: ledger.sched_tracks,
     }
-}
-
-#[derive(Clone, Copy, PartialEq)]
-enum Side {
-    Right,
-    Left,
 }
 
 /// Aggregate difference (total − construct) for phase attribution.
@@ -919,32 +911,9 @@ mod tests {
         }
     }
 
-    /// Map a run-global fault-plan job id back to `(dataset index,
-    /// is_right_side)`, replaying the host's launch-order numbering.
-    fn dataset_index_of(ds: &Dataset, cfg: &GpuConfig, victim: u64) -> (usize, bool) {
-        let schedule = cfg.retry.schedule(ds.k);
-        let min_k = schedule.iter().copied().min().unwrap_or(ds.k);
-        let mut id = 0u64;
-        for batch in &bin_contigs(&ds.jobs, cfg.binning) {
-            for side in 0..2 {
-                for &idx in &batch.jobs {
-                    let j = &ds.jobs[idx];
-                    if j.contig.len() < min_k {
-                        continue;
-                    }
-                    let reads =
-                        if side == 0 { &j.right_reads } else { &j.left_reads };
-                    if reads.is_empty() {
-                        continue;
-                    }
-                    if id == victim {
-                        return (idx, side == 0);
-                    }
-                    id += 1;
-                }
-            }
-        }
-        panic!("victim id {victim} exceeds the run's job count");
+    /// The `(dataset index, side)` a run-global fault-plan job id names.
+    fn victim_of(ds: &Dataset, cfg: &GpuConfig, victim: u64) -> (usize, Side) {
+        job_order(&plan_launches(ds, cfg)).nth(victim as usize).expect("victim id is launched")
     }
 
     /// The tentpole acceptance scenario: inject a table-full fault into
@@ -965,7 +934,7 @@ mod tests {
                 let faulted = run_local_assembly(&ds, &cfg);
 
                 let tag = format!("{device} parallel={parallel}");
-                let (victim_idx, _) = dataset_index_of(&ds, &cfg, VICTIM);
+                let (victim_idx, _) = victim_of(&ds, &cfg, VICTIM);
                 for (i, (c, f)) in
                     clean.extensions.iter().zip(&faulted.extensions).enumerate()
                 {
@@ -1011,7 +980,7 @@ mod tests {
         cfg.retry = RetryPolicy::ladder(ds.k);
         cfg.fault = Some(FaultPlan::table_full(VICTIM).persist(2));
         let r = run_local_assembly(&ds, &cfg);
-        let (victim_idx, is_right) = dataset_index_of(&ds, &cfg, VICTIM);
+        let (victim_idx, side) = victim_of(&ds, &cfg, VICTIM);
         assert_eq!(
             r.outcomes[victim_idx],
             JobOutcome::Recovered { attempts: 2 },
@@ -1028,7 +997,7 @@ mod tests {
             &AssemblyConfig { k: fallback_k, walk: cfg.walk, retry: cfg.retry.clone() },
             true,
         );
-        let (got, want) = if is_right {
+        let (got, want) = if side == Side::Right {
             (&r.extensions[victim_idx].right, &cpu[0].right)
         } else {
             (&r.extensions[victim_idx].left, &cpu[0].left)
@@ -1049,7 +1018,7 @@ mod tests {
         let clean = run_local_assembly(&ds, &cfg);
         cfg.fault = Some(FaultPlan::table_full(VICTIM).persist(u32::MAX));
         let r = run_local_assembly(&ds, &cfg);
-        let (victim_idx, is_right) = dataset_index_of(&ds, &cfg, VICTIM);
+        let (victim_idx, side) = victim_of(&ds, &cfg, VICTIM);
         match r.outcomes[victim_idx] {
             JobOutcome::Failed { fault: KernelFault::HashTableFull { .. }, attempts } => {
                 assert!(
@@ -1060,7 +1029,7 @@ mod tests {
             other => panic!("expected Failed(HashTableFull), got {other:?}"),
         }
         assert!(!r.outcomes[victim_idx].succeeded());
-        let failed_side = if is_right {
+        let failed_side = if side == Side::Right {
             &r.extensions[victim_idx].right
         } else {
             &r.extensions[victim_idx].left
@@ -1087,7 +1056,7 @@ mod tests {
         {
             cfg.fault = Some(plan);
             let r = run_local_assembly(&ds, &cfg);
-            let (victim_idx, _) = dataset_index_of(&ds, &cfg, VICTIM);
+            let (victim_idx, _) = victim_of(&ds, &cfg, VICTIM);
             assert_eq!(r.extensions, clean.extensions, "recovery is exact");
             assert_eq!(r.outcomes[victim_idx], JobOutcome::Recovered { attempts: 1 });
         }
@@ -1191,16 +1160,33 @@ mod tests {
         assert!(r.san.is_clean(), "recovered retries sanitize clean: {:?}", r.san.findings);
     }
 
+    /// Every binning, chunked or not, gives the same extensions and work
+    /// totals; only batch structure differs. Each run makes exactly the
+    /// launches its plan lists, and chunking leaves the run-global job
+    /// order alone.
     #[test]
     fn binning_policies_agree_on_results() {
         let ds = small_ds();
-        let mut cfg = GpuConfig::for_device(DeviceId::A100);
-        let a = run_local_assembly(&ds, &cfg);
-        cfg.binning = BinningPolicy::Single;
-        let b = run_local_assembly(&ds, &cfg);
-        assert_eq!(a.extensions, b.extensions);
-        // Work totals match too; only batch structure differs.
-        assert_eq!(a.profile.total.int_instructions, b.profile.total.int_instructions);
+        let base = run_local_assembly(&ds, &GpuConfig::for_device(DeviceId::A100));
+        let binnings =
+            [BinningPolicy::PowerOfTwo, BinningPolicy::Single, BinningPolicy::FixedSize(5)];
+        for binning in binnings {
+            let mut orders = Vec::new();
+            for max_batch in [None, Some(4)] {
+                let cfg = GpuConfig { binning, max_batch, ..GpuConfig::for_device(DeviceId::A100) };
+                let plan = plan_launches(&ds, &cfg);
+                let r = run_local_assembly(&ds, &cfg);
+                let tag = format!("{binning:?} max_batch={max_batch:?}");
+                assert_eq!(r.extensions, base.extensions, "{tag}");
+                let int = |r: &GpuRunResult| r.profile.total.int_instructions;
+                assert_eq!(int(&r), int(&base), "{tag}");
+                let ran: Vec<_> = r.profile.batches.iter().map(|b| (b.band, b.warps)).collect();
+                let planned: Vec<_> = plan.iter().map(|l| (l.band, l.jobs.len() as u64)).collect();
+                assert_eq!(ran, planned, "{tag}: launches");
+                orders.push(job_order(&plan).collect::<Vec<_>>());
+            }
+            assert_eq!(orders[0], orders[1], "{binning:?}: chunking must not renumber jobs");
+        }
     }
 
     /// Every launch knob that may not change results, swept jointly:
@@ -1238,6 +1224,34 @@ mod tests {
                         }
                     }
                 }
+            }
+        }
+    }
+
+    /// A fault id names the same job whether or not its side is chunked.
+    /// The victim is job 5 of the first side longer than five jobs, so
+    /// under `Some(4)` it is the second job of that side's second chunk.
+    #[test]
+    fn fault_ids_survive_chunking() {
+        let ds = small_ds();
+        let base = GpuConfig::for_device(DeviceId::A100);
+        let clean = run_local_assembly(&ds, &base);
+        let plan = plan_launches(&ds, &base);
+        let long = plan.iter().position(|l| l.jobs.len() > 5).expect("a side of six jobs");
+        let victim = plan[..long].iter().map(|l| l.jobs.len() as u64).sum::<u64>() + 5;
+        let victim_idx = plan[long].jobs[5];
+        for max_batch in [None, Some(4)] {
+            let cfg =
+                GpuConfig { max_batch, fault: Some(FaultPlan::table_full(victim)), ..base.clone() };
+            if max_batch.is_some() {
+                assert_eq!(plan_launches(&ds, &cfg)[long + 1].jobs[1], victim_idx);
+            }
+            let r = run_local_assembly(&ds, &cfg);
+            assert_eq!(r.extensions, clean.extensions, "max_batch={max_batch:?}");
+            for (i, o) in r.outcomes.iter().enumerate() {
+                let recovered = JobOutcome::Recovered { attempts: 1 };
+                let want = if i == victim_idx { recovered } else { JobOutcome::Ok };
+                assert_eq!(*o, want, "max_batch={max_batch:?}: job {i}");
             }
         }
     }

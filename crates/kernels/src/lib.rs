@@ -16,8 +16,9 @@
 //! (Algorithm 1), [`walk`] the single-lane mer-walk with shuffle broadcast
 //! (Algorithm 2), [`kernel`] composes them into the right/left extension
 //! kernels, and [`launch`] is the host pipeline of Fig. 3 (binning → size
-//! estimation → batching → kernel calls), producing a [`profile::KernelProfile`]
-//! with the counters the paper collects via `ncu`/`rocprof`/Advisor.
+//! estimation → batching → kernel calls, planned up front by
+//! [`plan_launches`]), producing a [`profile::KernelProfile`] with the
+//! counters the paper collects via `ncu`/`rocprof`/Advisor.
 
 pub mod construct;
 pub mod fault;
@@ -35,7 +36,10 @@ pub mod walk;
 
 pub use fault::{JobOutcome, KernelFault};
 pub use kernel::Dialect;
-pub use launch::{dialect_sanitizer, run_local_assembly, GpuConfig, GpuRunResult};
+pub use launch::{
+    dialect_sanitizer, job_order, plan_launches, run_local_assembly, GpuConfig, GpuRunResult,
+    PlannedLaunch, Side,
+};
 pub use probe::ProbeStrategy;
 pub use resize::{ensure_capacity, ht_delete, MAX_RESIZES};
 pub use table::{TableGeometry, TableLayout, TableLayoutKind, TOMBSTONE};

@@ -52,8 +52,9 @@ impl TheoreticalModel {
 
 impl TheoreticalModel {
     /// The model under 2-bit packed k-mers (the §V-E locality proposal,
-    /// `locassm_core::packed`): k-mer reads shrink from k bytes to ⌈k/4⌉
-    /// and the entry's 4-byte key pointer becomes an inline packed key of
+    /// modeled analytically; no kernel packs its keys): k-mer reads shrink
+    /// from k bytes to ⌈k/4⌉ and the entry's 4-byte key pointer becomes an
+    /// inline packed key of
     /// the same footprint class, so
     /// `B1 = 2·⌈k/4⌉ + 13` and `B2 = ⌈k/4⌉ + 13`, with the integer work
     /// unchanged (the hash now mixes ⌈k/4⌉ bytes, but word-at-a-time — the

@@ -25,7 +25,7 @@ use crate::request::{ExtensionRequest, ServiceOutcome, TimeoutStage};
 use gpu_specs::DeviceId;
 use locassm_core::io::Dataset;
 use locassm_core::{BinningPolicy, ContigJob, RequestId};
-use locassm_kernels::{run_local_assembly, GpuConfig, JobOutcome};
+use locassm_kernels::{job_order, plan_launches, run_local_assembly, GpuConfig, JobOutcome};
 use simt::FaultPlan;
 use std::collections::BTreeMap;
 
@@ -226,30 +226,6 @@ impl ServiceReport {
     }
 }
 
-/// Replay the launch engine's run-global job numbering for a
-/// single-batch run ({right, left} × job order, skipping sides the host
-/// skips) and return the run-global id of `victim_pos`'s first launched
-/// side — the id a retargeted fault plan must name.
-fn run_job_id(jobs: &[ContigJob], min_k: usize, victim_pos: usize) -> Option<u64> {
-    let mut id = 0u64;
-    for side in 0..2usize {
-        for (i, j) in jobs.iter().enumerate() {
-            if j.contig.len() < min_k {
-                continue;
-            }
-            let reads = if side == 0 { &j.right_reads } else { &j.left_reads };
-            if reads.is_empty() {
-                continue;
-            }
-            if i == victim_pos {
-                return Some(id);
-            }
-            id += 1;
-        }
-    }
-    None
-}
-
 /// Run a workload to completion and return its replayable report.
 ///
 /// Pure function of `(requests, cfg)`: requests are processed in
@@ -262,7 +238,6 @@ pub fn run_service(requests: &[ExtensionRequest], cfg: &ServiceConfig) -> Servic
     });
 
     let schedule = cfg.gpu.retry.schedule(cfg.k);
-    let min_k = schedule.iter().copied().min().unwrap_or(cfg.k);
 
     let mut queue = AdmissionQueue::new(cfg.queue.clone());
     // Retries parked in backoff, sorted by (release instant, uid).
@@ -381,10 +356,12 @@ pub fn run_service(requests: &[ExtensionRequest], cfg: &ServiceConfig) -> Servic
                 if let Some(pos) =
                     picked.iter().position(|q| q.req.id.uid() == victim_uid)
                 {
-                    if let Some(run_id) = run_job_id(&ds.jobs, min_k, pos) {
+                    // The run-global id of the victim's first launched side.
+                    let run_id = job_order(&plan_launches(&ds, &gpu)).position(|(i, _)| i == pos);
+                    if let Some(run_id) = run_id {
                         gpu.fault = plan
                             .consume(picked[pos].attempts_spent)
-                            .map(|p| p.retargeted(victim_uid, run_id));
+                            .map(|p| p.retargeted(victim_uid, run_id as u64));
                     }
                 }
             }

@@ -5,8 +5,11 @@
 
 use gpu_specs::DeviceId;
 use locassm_core::io::Dataset;
-use locassm_core::{assemble_all, bin_contigs, AssemblyConfig, ContigJob, Read, RetryPolicy};
-use locassm_kernels::{run_local_assembly, GpuConfig, GpuRunResult, JobOutcome, KernelFault};
+use locassm_core::{assemble_all, AssemblyConfig, ContigJob, Read, RetryPolicy};
+use locassm_kernels::{
+    job_order, plan_launches, run_local_assembly, GpuConfig, GpuRunResult, JobOutcome, KernelFault,
+    Side,
+};
 use proptest::prelude::*;
 use simt::FaultPlan;
 use std::sync::OnceLock;
@@ -33,31 +36,6 @@ fn baseline_ladder() -> &'static GpuRunResult {
     RUN.get_or_init(|| run_local_assembly(dataset(), &config(RetryPolicy::ladder(21))))
 }
 
-/// Replay the host's run-global job numbering (batches × {right, left} ×
-/// job order) and return the `(dataset index, is_right)` of every
-/// launched job, in id order.
-fn launched_jobs(ds: &Dataset, cfg: &GpuConfig) -> Vec<(usize, bool)> {
-    let schedule = cfg.retry.schedule(ds.k);
-    let min_k = schedule.iter().copied().min().unwrap_or(ds.k);
-    let mut out = Vec::new();
-    for batch in &bin_contigs(&ds.jobs, cfg.binning) {
-        for side in 0..2 {
-            for &idx in &batch.jobs {
-                let j = &ds.jobs[idx];
-                if j.contig.len() < min_k {
-                    continue;
-                }
-                let reads = if side == 0 { &j.right_reads } else { &j.left_reads };
-                if reads.is_empty() {
-                    continue;
-                }
-                out.push((idx, side == 0));
-            }
-        }
-    }
-    out
-}
-
 /// The run-global job id a plan targets (every plan here targets one).
 fn victim_of(plan: &FaultPlan, n_jobs: u64) -> u64 {
     (0..n_jobs).find(|&j| plan.targets(j)).expect("plan targets one launched job")
@@ -74,7 +52,7 @@ proptest! {
     fn transient_single_fault_is_invisible_in_the_output(seed in 0u64..1_000_000) {
         let ds = dataset();
         let mut cfg = config(RetryPolicy::none());
-        let jobs = launched_jobs(ds, &cfg);
+        let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let plan = FaultPlan::seeded(seed, jobs.len() as u64);
         let victim = victim_of(&plan, jobs.len() as u64);
         cfg.fault = Some(plan);
@@ -105,14 +83,14 @@ proptest! {
     fn persistent_single_fault_isolates_to_the_victim(seed in 0u64..1_000_000) {
         let ds = dataset();
         let mut cfg = config(RetryPolicy::none());
-        let jobs = launched_jobs(ds, &cfg);
+        let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let plan = FaultPlan::seeded(seed, jobs.len() as u64).persist(u32::MAX);
         let victim = victim_of(&plan, jobs.len() as u64);
         cfg.fault = Some(plan);
 
         let faulted = run_local_assembly(ds, &cfg);
         let clean = baseline_none();
-        let (victim_idx, is_right) = jobs[victim as usize];
+        let (victim_idx, side) = jobs[victim as usize];
 
         for (i, (c, f)) in clean.extensions.iter().zip(&faulted.extensions).enumerate() {
             if i != victim_idx {
@@ -122,7 +100,7 @@ proptest! {
         prop_assert!(!faulted.outcomes[victim_idx].succeeded());
         let v_clean = &clean.extensions[victim_idx];
         let v_faulted = &faulted.extensions[victim_idx];
-        if is_right {
+        if side == Side::Right {
             prop_assert!(v_faulted.right.is_empty());
             prop_assert_eq!(&v_faulted.left, &v_clean.left);
         } else {
@@ -143,13 +121,13 @@ proptest! {
     fn ladder_recovery_matches_the_cpu_reference_at_fallback_k(victim_pick in 0usize..64) {
         let ds = dataset();
         let mut cfg = config(RetryPolicy::ladder(ds.k));
-        let jobs = launched_jobs(ds, &cfg);
+        let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let victim = (victim_pick % jobs.len()) as u64;
         cfg.fault = Some(FaultPlan::table_full(victim).persist(2));
 
         let faulted = run_local_assembly(ds, &cfg);
         let clean = baseline_ladder();
-        let (victim_idx, is_right) = jobs[victim as usize];
+        let (victim_idx, side) = jobs[victim as usize];
 
         for (i, (c, f)) in clean.extensions.iter().zip(&faulted.extensions).enumerate() {
             if i != victim_idx {
@@ -165,7 +143,7 @@ proptest! {
             true,
         );
         let v = &faulted.extensions[victim_idx];
-        if is_right {
+        if side == Side::Right {
             prop_assert_eq!(&v.right, &oracle[0].right);
         } else {
             prop_assert_eq!(&v.left, &oracle[0].left);
@@ -319,7 +297,7 @@ fn failed_outcome_carries_the_fault_payload() {
     let mut cfg = config(RetryPolicy::none());
     cfg.fault = Some(FaultPlan::table_full(0).persist(u32::MAX));
     let r = run_local_assembly(ds, &cfg);
-    let (victim_idx, _) = launched_jobs(ds, &cfg)[0];
+    let (victim_idx, _) = job_order(&plan_launches(ds, &cfg)).next().expect("a launched job");
     match r.outcomes[victim_idx] {
         JobOutcome::Failed { fault: KernelFault::HashTableFull { capacity, .. }, attempts } => {
             assert!(capacity > 0, "the fault reports the table that overflowed");

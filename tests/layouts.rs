@@ -7,7 +7,9 @@
 
 use locassm::core::io::Dataset;
 use locassm::core::{assemble_all, AssemblyConfig, ContigJob, Read, RetryPolicy};
-use locassm::kernels::{run_local_assembly, GpuConfig, JobOutcome, TableLayoutKind};
+use locassm::kernels::{
+    job_order, plan_launches, run_local_assembly, GpuConfig, JobOutcome, TableLayoutKind,
+};
 use locassm::specs::DeviceId;
 use locassm::workloads::paper_dataset;
 use simt::{FaultPlan, SanitizerConfig};
@@ -51,29 +53,19 @@ fn layout_matrix_is_oracle_exact_and_sanitizer_clean() {
 }
 
 /// Aggregate staged slots and distinct keys over every job side the
-/// launch engine runs — the host-side view of each layout's capacity.
+/// launch plan runs — the host-side view of each layout's capacity.
 fn capacity(ds: &Dataset, layout: TableLayoutKind) -> (u64, u64) {
+    let cfg = GpuConfig { layout, ..GpuConfig::for_device(DeviceId::A100) };
     let lay = layout.as_layout();
     let mut slots = 0u64;
     let mut distinct = 0u64;
-    for job in &ds.jobs {
-        if job.contig.len() < ds.k {
-            continue;
-        }
-        for reads in [&job.right_reads, &job.left_reads] {
-            if reads.is_empty() {
-                continue;
-            }
-            let ins: usize = reads.iter().map(|r| r.kmer_count(ds.k)).sum();
-            slots += lay.geometry(ins, 1, 0).expect("dataset insertions fit u32").slots as u64;
-            let mut keys = std::collections::HashSet::new();
-            for r in reads {
-                for w in r.seq.windows(ds.k) {
-                    keys.insert(w);
-                }
-            }
-            distinct += keys.len() as u64;
-        }
+    for (idx, side) in job_order(&plan_launches(ds, &cfg)) {
+        let reads = side.reads(&ds.jobs[idx]);
+        let ins: usize = reads.iter().map(|r| r.kmer_count(ds.k)).sum();
+        slots += lay.geometry(ins, 1, 0).expect("dataset insertions fit u32").slots as u64;
+        let keys: std::collections::HashSet<&[u8]> =
+            reads.iter().flat_map(|r| r.seq.windows(ds.k)).collect();
+        distinct += keys.len() as u64;
     }
     (slots, distinct)
 }

@@ -3,11 +3,11 @@
 //! 32 or more instructions, sealed exact-size, so a launch holding every
 //! warp's timeline until the replay costs ~1 B per memory touch.
 
-use locassm::kernels::kernel::{extension_kernel, KernelJob};
-use locassm::kernels::layout::arena_footprint;
-use locassm::kernels::GpuConfig;
+use locassm::core::BinningPolicy;
+use locassm::kernels::kernel::extension_kernel;
+use locassm::kernels::{plan_launches, GpuConfig};
 use locassm::simt::{launch_warps, ExecMode, LaunchConfig};
-use locassm::specs::{effective_hierarchy, DeviceId};
+use locassm::specs::DeviceId;
 use locassm::workloads::paper_dataset;
 
 /// Per-warp allowance for the sealed word vectors.
@@ -23,39 +23,19 @@ fn heap_bytes<T>(words: &Vec<T>) -> usize {
 #[test]
 fn scheduled_launch_timelines_cost_about_one_byte_per_event() {
     let ds = paper_dataset(77, 0.002, 99);
-    let cfg = GpuConfig::for_device(DeviceId::Mi250x);
-    let schedule = cfg.retry.schedule(ds.k);
-    let jobs: Vec<KernelJob<'_>> = ds
-        .jobs
-        .iter()
-        .filter(|j| j.contig.len() >= ds.k && !j.right_reads.is_empty())
-        .map(|j| {
-            KernelJob::borrowed(&j.contig, &j.right_reads, ds.k, cfg.walk, &cfg.retry, cfg.dialect)
-        })
-        .collect();
+    let cfg =
+        GpuConfig { binning: BinningPolicy::Single, ..GpuConfig::for_device(DeviceId::Mi250x) };
+    // One bin: the first launch is every contig's right side.
+    let launch = &plan_launches(&ds, &cfg)[0];
+    let jobs = launch.kernel_jobs(&ds, &cfg);
     assert!(jobs.len() > 1, "the dataset must launch several warps");
-    let arena_hint = jobs
-        .iter()
-        .map(|j| {
-            arena_footprint(
-                j.contig.len(),
-                &j.reads,
-                &schedule,
-                j.walk,
-                j.slot_reserve,
-                j.layout,
-                j.resize,
-            )
-        })
-        .max()
-        .unwrap_or(0);
     let launch_cfg = LaunchConfig {
         width: cfg.width,
-        hierarchy: effective_hierarchy(cfg.spec(), jobs.len() as u64),
+        hierarchy: launch.hierarchy,
         parallel: true,
         trace: false,
         pool: cfg.pool,
-        arena_hint,
+        arena_hint: launch.arena_hint,
         fault: None,
         fault_base: 0,
         sanitize: Default::default(),
