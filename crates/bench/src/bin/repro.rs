@@ -672,13 +672,14 @@ fn trace_run(args: &Args, path: &std::path::Path) {
     let mut t = Table::new("Per-phase profile derived from the warp traces")
         .header(["phase", "spans", "warp instr", "INTOPs", "II", "lane util"]);
     for p in &tp.phases {
+        let c = &p.counters;
         t.row([
             p.name.clone(),
-            p.spans.to_string(),
-            p.warp_instructions.to_string(),
-            p.intops.to_string(),
-            f(p.intop_intensity(), 2),
-            pct(p.lane_utilization()),
+            c.warps.to_string(),
+            c.warp_instructions.to_string(),
+            c.intops().to_string(),
+            f(c.intop_intensity(), 2),
+            pct(c.lane_utilization()),
         ]);
     }
     println!("{}", t.render());
@@ -816,7 +817,7 @@ fn sched_run(args: &Args) {
         let mut cfg = GpuConfig::for_device(DeviceId::A100);
         cfg.parallel = args.parallel;
         cfg.exec = simt::ExecMode::Scheduled;
-        cfg.sched_tracks = true;
+        cfg.trace = true;
         let run = run_local_assembly(&ds, &cfg);
         require_ok(
             std::fs::write(path, perfmodel::sched_trace(&run.sched_tracks)),

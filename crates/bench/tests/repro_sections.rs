@@ -1,0 +1,49 @@
+//! Tables I, III, V and VI and the packed-k-mer table are analytic: they
+//! come from the device specs and the hash function's operation counts,
+//! not from a simulation, so no `--scale` changes them. A plain `repro`
+//! run must print each of them exactly as the committed
+//! `repro_output.txt` records it.
+
+use std::process::Command;
+
+/// Split `repro` output into its `## ` sections: each title line with the
+/// text up to the next title, trailing blank lines dropped.
+fn sections(text: &str) -> Vec<(&str, String)> {
+    let mut out: Vec<(&str, String)> = Vec::new();
+    for line in text.lines() {
+        if line.starts_with("## ") {
+            out.push((line, String::new()));
+        } else if let Some((_, body)) = out.last_mut() {
+            body.push_str(line);
+            body.push('\n');
+        }
+    }
+    for (_, body) in &mut out {
+        body.truncate(body.trim_end().len());
+    }
+    out
+}
+
+#[test]
+fn analytic_sections_match_repro_output() {
+    let path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../repro_output.txt");
+    let committed = std::fs::read_to_string(path).expect("read repro_output.txt");
+    let out = Command::new(env!("CARGO_BIN_EXE_repro"))
+        .args(["table1", "table3", "table5", "table6", "packed"])
+        .output()
+        .expect("spawn repro");
+    assert!(out.status.success(), "repro exited with {}", out.status);
+    let printed = String::from_utf8(out.stdout).expect("repro prints UTF-8");
+
+    assert_eq!(printed.lines().next(), committed.lines().next(), "header line");
+    let committed = sections(&committed);
+    let printed = sections(&printed);
+    let titles: Vec<&str> = printed.iter().map(|(t, _)| *t).collect();
+    assert_eq!(printed.len(), 5, "one section per artifact, got {titles:?}");
+    for (title, body) in &printed {
+        let Some((_, want)) = committed.iter().find(|(t, _)| t == title) else {
+            panic!("section `{title}` is missing from repro_output.txt");
+        };
+        assert_eq!(body, want, "section `{title}` differs from repro_output.txt");
+    }
+}

@@ -30,11 +30,6 @@ impl AssemblyConfig {
     pub fn new(k: usize) -> Self {
         AssemblyConfig { k, walk: WalkConfig::default(), retry: RetryPolicy::none() }
     }
-
-    /// With the Fig. 4 retry ladder enabled.
-    pub fn with_retry_ladder(k: usize) -> Self {
-        AssemblyConfig { k, walk: WalkConfig::default(), retry: RetryPolicy::ladder(k) }
-    }
 }
 
 /// The two-sided extension produced for one contig.

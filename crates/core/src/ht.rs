@@ -46,7 +46,6 @@ struct Slot {
 pub struct CpuHashTable {
     slots: Vec<Option<Slot>>,
     len: usize,
-    probes: u64,
 }
 
 /// The table ran out of slots (the kernel's "*hashtable full*").
@@ -57,7 +56,7 @@ impl CpuHashTable {
     /// A table with `capacity` slots (from [`crate::estimate_slots`]).
     pub fn with_capacity(capacity: usize) -> Self {
         assert!(capacity > 0, "hash table capacity must be non-zero");
-        CpuHashTable { slots: vec![None; capacity], len: 0, probes: 0 }
+        CpuHashTable { slots: vec![None; capacity], len: 0 }
     }
 
     pub fn capacity(&self) -> usize {
@@ -78,13 +77,6 @@ impl CpuHashTable {
         self.len as f64 / self.slots.len() as f64
     }
 
-    /// Total linear-probe steps performed by insertions (lookups take
-    /// `&self` and are not counted) — probe-chain statistics for load-factor
-    /// sanity checks.
-    pub fn probe_count(&self) -> u64 {
-        self.probes
-    }
-
     #[inline]
     fn start_index(&self, key: &[u8]) -> usize {
         (murmur_hash_aligned2(key, DEFAULT_SEED) as usize) % self.slots.len()
@@ -96,7 +88,6 @@ impl CpuHashTable {
         let cap = self.slots.len();
         let mut idx = self.start_index(key);
         for _ in 0..cap {
-            self.probes += 1;
             match &mut self.slots[idx] {
                 Some(s) if &*s.key == key => {
                     s.val.record(vote);

@@ -54,11 +54,6 @@ impl RequestId {
     pub fn uid(&self) -> u64 {
         ((self.tenant.0 as u64) << 32) | self.seq as u64
     }
-
-    /// Inverse of [`RequestId::uid`].
-    pub fn from_uid(uid: u64) -> Self {
-        RequestId { tenant: TenantId((uid >> 32) as u32), seq: uid as u32 }
-    }
 }
 
 impl fmt::Display for RequestId {
@@ -74,8 +69,8 @@ mod tests {
     #[test]
     fn uid_round_trips_and_orders() {
         for (t, s) in [(0u32, 0u32), (1, 0), (0, 1), (7, 42), (u32::MAX, u32::MAX)] {
-            let id = RequestId::new(TenantId(t), s);
-            assert_eq!(RequestId::from_uid(id.uid()), id);
+            let uid = RequestId::new(TenantId(t), s).uid();
+            assert_eq!(((uid >> 32) as u32, uid as u32), (t, s));
         }
         // uid order == (tenant, seq) lexicographic order.
         let a = RequestId::new(TenantId(1), u32::MAX);

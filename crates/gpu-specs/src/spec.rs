@@ -129,16 +129,6 @@ impl DeviceSpec {
     pub fn machine_balance(&self) -> f64 {
         self.peak_intops_per_sec / self.hbm_bytes_per_sec
     }
-
-    /// Total L1 capacity across the die.
-    pub fn l1_total_bytes(&self) -> u64 {
-        self.l1_bytes_per_cu * self.compute_units as u64
-    }
-
-    /// Peak warp-instruction issue rate (warp instructions / second).
-    pub fn warp_issue_per_sec(&self) -> f64 {
-        self.peak_intops_per_sec / self.warp_width as f64
-    }
 }
 
 /// NVIDIA A100 (Perlmutter, CUDA 12.0). Peaks from paper Fig. 6a.
@@ -267,7 +257,6 @@ mod tests {
     fn issue_rate_positive() {
         for id in DeviceId::ALL {
             let s = id.spec();
-            assert!(s.warp_issue_per_sec() > 0.0);
             assert!(s.sustained_issue_frac > 0.0 && s.sustained_issue_frac <= 1.0);
         }
     }

@@ -168,11 +168,6 @@ impl TimeEstimate {
         }
     }
 
-    /// Achieved warp-level INTOPs per second given total INTOPs.
-    pub fn achieved_intops_per_sec(&self, intops: u64) -> f64 {
-        intops as f64 / self.seconds
-    }
-
     /// Replace the analytic latency term with a simulated one (the
     /// scheduled replay's per-SM exposed latency, already converted to
     /// seconds). Compute and bandwidth terms are kept; the total and the
@@ -256,7 +251,7 @@ mod tests {
             let p = params(100_000_000, 50_000_000, 5_000);
             let t = TimeEstimate::estimate(spec, &p);
             let intops = p.warp_instructions * p.width as u64;
-            assert!(t.achieved_intops_per_sec(intops) < spec.peak_intops_per_sec);
+            assert!(intops as f64 / t.seconds < spec.peak_intops_per_sec);
         }
     }
 

@@ -15,7 +15,6 @@ use crate::probe::{
     InsertArgs, SlotVec,
 };
 use crate::resize::ensure_capacity;
-use crate::table::TOMBSTONE;
 use simt::{LaneVec, Mask, Warp};
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
@@ -31,10 +30,7 @@ use simt::{LaneVec, Mask, Warp};
 ///
 /// With [`DeviceJob::resize`] armed, the warp checks the layout's
 /// high-water mark before probing and migrates into a grown region first
-/// (see [`crate::resize`]); a tombstoned slot observed through the CAS
-/// `prev` value neither wins (only `EMPTY` is claimable) nor compares
-/// (its key bytes are gone) — the lane simply keeps probing, which is the
-/// shared tombstone rule of [`crate::table`].
+/// (see [`crate::resize`]).
 pub fn ht_get_atomic(
     warp: &mut Warp,
     job: &mut DeviceJob,
@@ -89,19 +85,8 @@ pub fn ht_get_atomic(
         // __syncwarp(mask): losers may now safely read the winner's key.
         warp.syncwarp(searching);
 
-        // prev != EMPTY && key == kmer  → found existing entry. A
-        // tombstoned slot is excluded from the compare: its key bytes are
-        // gone (the stale key_off could alias a live key's offset), so
-        // the lane keeps probing without a match.
-        let losers = {
-            let mut m = Mask::NONE;
-            for l in searching.lanes() {
-                if prev[l] != EMPTY && prev[l] != TOMBSTONE {
-                    m.set(l);
-                }
-            }
-            m
-        };
+        // prev != EMPTY && key == kmer  → found existing entry.
+        let losers = searching & !winners;
         let eq = compare_stored_keys(warp, job, losers, &slot, args);
         warp.iop(searching, 2); // branch resolution on (prev, eq)
 

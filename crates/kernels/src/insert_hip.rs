@@ -14,7 +14,6 @@ use crate::probe::{
     InsertArgs, SlotVec,
 };
 use crate::resize::ensure_capacity;
-use crate::table::TOMBSTONE;
 use simt::{LaneVec, Mask, Warp};
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
@@ -25,8 +24,8 @@ use simt::{LaneVec, Mask, Warp};
 /// probe, so `rounds` only advances once lanes actually claim/compare.
 /// All three dialects fault on the round that would revisit the probe's
 /// origin (`rounds` past the layout's probe bound — `job.slots` for
-/// linear probing). Tombstones and the resize high-water check follow the
-/// shared rule documented on [`crate::insert_cuda::ht_get_atomic`].
+/// linear probing). The resize high-water check follows the rule
+/// documented on [`crate::insert_cuda::ht_get_atomic`].
 pub fn ht_get_atomic(
     warp: &mut Warp,
     job: &mut DeviceJob,
@@ -86,18 +85,8 @@ pub fn ht_get_atomic(
         publish_key(warp, job, winners, &slot, args);
         job.occupied += winners.count();
 
-        // if (!done) { match/own checks set the done flag }. Tombstoned
-        // slots are excluded from the compare (stale key bytes) and keep
-        // probing — the shared tombstone rule.
-        let losers = {
-            let mut m = Mask::NONE;
-            for l in not_done.lanes() {
-                if prev[l] != EMPTY && prev[l] != TOMBSTONE {
-                    m.set(l);
-                }
-            }
-            m
-        };
+        // if (!done) { match/own checks set the done flag }.
+        let losers = not_done & !winners;
         let eq = compare_stored_keys(warp, job, losers, &slot, args);
         warp.iop(not_done, 2); // done-flag updates
         for l in not_done.lanes() {

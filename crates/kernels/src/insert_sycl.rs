@@ -14,14 +14,13 @@ use crate::probe::{
     InsertArgs, SlotVec,
 };
 use crate::resize::ensure_capacity;
-use crate::table::TOMBSTONE;
 use simt::{Mask, Warp};
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
 /// index per lane, or `HashTableFull` if a probe chain wraps the table
 /// (the guard is uniform across the three dialects: at most the layout's
-/// probe bound rounds — `job.slots` for linear probing). Tombstones and
-/// the resize high-water check follow the shared rule documented on
+/// probe bound rounds — `job.slots` for linear probing). The resize
+/// high-water check follows the rule documented on
 /// [`crate::insert_cuda::ht_get_atomic`].
 pub fn ht_get_atomic(
     warp: &mut Warp,
@@ -66,17 +65,7 @@ pub fn ht_get_atomic(
         // sg.barrier(): the whole sub-group synchronizes every round.
         warp.subgroup_barrier();
 
-        // Tombstoned slots are excluded from the compare (stale key
-        // bytes) and keep probing — the shared tombstone rule.
-        let losers = {
-            let mut m = Mask::NONE;
-            for l in searching.lanes() {
-                if prev[l] != EMPTY && prev[l] != TOMBSTONE {
-                    m.set(l);
-                }
-            }
-            m
-        };
+        let losers = searching & !winners;
         let eq = compare_stored_keys(warp, job, losers, &slot, args);
         warp.iop(searching, 2);
 

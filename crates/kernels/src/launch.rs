@@ -62,7 +62,8 @@ pub struct GpuConfig {
     pub custom_spec: Option<DeviceSpec>,
     /// Attach a trace sink to every warp and collect per-warp
     /// [`simt::WarpTrace`]s in [`GpuRunResult::traces`] (run-global warp
-    /// ids, in [`plan_launches`] order).
+    /// ids, in [`plan_launches`] order). A `Scheduled`-mode run also
+    /// records its SM slices in [`GpuRunResult::sched_tracks`].
     pub trace: bool,
     /// Deterministic fault-injection plan threaded to every launch
     /// (`None`, the default, injects nothing). Plan job ids use the
@@ -100,11 +101,6 @@ pub struct GpuConfig {
     /// (`effective_hierarchy`). `None` launches whole sides, the paper's
     /// batching. Run-global job/fault ids are unaffected by chunking.
     pub max_batch: Option<usize>,
-    /// Record per-warp execution slices during the scheduled replay and
-    /// collect them in [`GpuRunResult::sched_tracks`] (for Chrome-trace
-    /// SM-occupancy lanes — see `perfmodel::export`). Off by default;
-    /// only meaningful with `exec: ExecMode::Scheduled`.
-    pub sched_tracks: bool,
     /// Arm in-kernel incremental resizing for every job (see
     /// [`crate::resize`]): tables grow past their high-water mark inside
     /// the insert dialects instead of faulting `HashTableFull` into the
@@ -153,7 +149,6 @@ impl GpuConfig {
             probe: ProbeStrategy::default(),
             layout: TableLayoutKind::default(),
             max_batch: None,
-            sched_tracks: false,
             resize: false,
         }
     }
@@ -191,8 +186,9 @@ pub struct GpuRunResult {
     pub san: SanReport,
     /// Scheduled-replay execution slices, on a run-global tick clock
     /// (each launch's slices are offset by the makespan accumulated
-    /// before it). Empty unless [`GpuConfig::sched_tracks`] was set on a
-    /// `Scheduled`-mode run.
+    /// before it), for the Chrome-trace SM lanes that load beside the
+    /// warp lanes of [`Self::traces`] (see `perfmodel::export`). Empty
+    /// unless [`GpuConfig::trace`] was set on a `Scheduled`-mode run.
     pub sched_tracks: Vec<simt::SmSlice>,
 }
 
@@ -388,7 +384,7 @@ impl Ledger {
             spec,
             &out.timelines,
             residency,
-            cfg.sched_tracks,
+            cfg.trace,
             &mut self.phases,
             &mut self.sched_tracks,
         );

@@ -92,13 +92,10 @@ pub struct DeviceJob {
     /// round and `HashTableFull` escalation demotes to "arena genuinely
     /// exhausted".
     pub resize: bool,
-    /// Live (non-tombstone) slots claimed so far — host-side bookkeeping
-    /// the dialects bump per insert round, mirrored by the sanitizer's
-    /// migration-consistency scan.
+    /// Slots claimed so far — host-side bookkeeping the dialects bump per
+    /// insert round, mirrored by the sanitizer's migration-consistency
+    /// scan.
     pub occupied: u32,
-    /// Tombstoned slots accumulated since the last migration (deletion
-    /// writes [`crate::table::TOMBSTONE`]; migration drops them all).
-    pub tombstones: u32,
     /// Incremental resizes already performed on this job (capped by
     /// [`crate::resize::MAX_RESIZES`]).
     pub resizes_done: u32,
@@ -209,7 +206,6 @@ impl DeviceJob {
             probe: ProbeStrategy::default(),
             resize: false,
             occupied: 0,
-            tombstones: 0,
             resizes_done: 0,
             fps,
         };
@@ -334,18 +330,11 @@ pub fn check_table_invariants(warp: &Warp, job: &DeviceJob) -> Vec<simt::SanKind
     let mut found = Vec::new();
     let mut seen: HashMap<Vec<u8>, u32> = HashMap::new();
     let mut occupancy = 0u32;
-    let mut tombstones = 0u32;
     let lay = job.layout.as_layout();
     let check_reachable = job.layout != TableLayoutKind::LinearProbe;
     for s in 0..job.slots {
         let len = warp.mem.read_u32(job.entry_field(s, OFF_KEY_LEN));
         if len == EMPTY {
-            continue;
-        }
-        // Tombstones carry no key bytes: the length word is the sentinel
-        // itself, so the byte read below must not run (u32::MAX bytes).
-        if len == crate::table::TOMBSTONE {
-            tombstones += 1;
             continue;
         }
         occupancy += 1;
@@ -360,30 +349,17 @@ pub fn check_table_invariants(warp: &Warp, job: &DeviceJob) -> Vec<simt::SanKind
             found.push(simt::SanKind::MisplacedKey { slot: s });
         }
     }
-    if occupancy + tombstones >= job.slots {
-        found.push(simt::SanKind::TableOverflow {
-            occupancy: occupancy + tombstones,
-            capacity: job.slots,
-        });
+    if occupancy >= job.slots {
+        found.push(simt::SanKind::TableOverflow { occupancy, capacity: job.slots });
     }
-    // Migration-consistency scans, meaningful only when the resize engine
-    // maintains the host-side counters: a dangling tombstone count means a
-    // migration dropped tombstones without resetting the counter (or a
-    // deletion forgot to bump it); an occupied mismatch means a slot was
+    // Migration-consistency scan, meaningful only when the resize engine
+    // maintains the host-side counter: a mismatch means a slot was
     // migrated twice (or a live entry was lost mid-migration).
-    if job.resize {
-        if tombstones != job.tombstones {
-            found.push(simt::SanKind::TombstoneMismatch {
-                counted: job.tombstones,
-                scanned: tombstones,
-            });
-        }
-        if occupancy != job.occupied {
-            found.push(simt::SanKind::MigrationMismatch {
-                counted: job.occupied,
-                scanned: occupancy,
-            });
-        }
+    if job.resize && occupancy != job.occupied {
+        found.push(simt::SanKind::MigrationMismatch {
+            counted: job.occupied,
+            scanned: occupancy,
+        });
     }
     found
 }

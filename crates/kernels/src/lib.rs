@@ -41,6 +41,6 @@ pub use launch::{
     PlannedLaunch, Side,
 };
 pub use probe::ProbeStrategy;
-pub use resize::{ensure_capacity, ht_delete, MAX_RESIZES};
-pub use table::{TableGeometry, TableLayout, TableLayoutKind, TOMBSTONE};
+pub use resize::{ensure_capacity, MAX_RESIZES};
+pub use table::{TableGeometry, TableLayout, TableLayoutKind};
 pub use profile::{KernelProfile, PhaseCounters, PhaseStats, SchedProfile, TraceProfile};

@@ -1,7 +1,7 @@
 //! Kernel profiles — the quantities the paper extracts with `ncu`,
 //! `rocprof` and Intel Advisor (Appendix B).
 
-use gpu_specs::{Bound, DeviceId, ModelParams, TimeEstimate};
+use gpu_specs::{Bound, DeviceId, TimeEstimate};
 use crate::kernel::Dialect;
 use simt::{AggCounters, PhaseSched, SchedResult, WarpTrace};
 
@@ -210,15 +210,9 @@ impl KernelProfile {
             Bound::Latency
         }
     }
-
-    /// The `ModelParams` equivalent of the whole run (for re-estimation,
-    /// e.g. in what-if analyses).
-    pub fn model_params(&self) -> ModelParams {
-        ModelParams::from_counters(&self.total)
-    }
 }
 
-/// Aggregated statistics for one named phase, derived from warp traces.
+/// Aggregated counters for one named phase, derived from warp traces.
 ///
 /// Span deltas are *inclusive* of nested phases, so a parent phase counts
 /// its children's work too; the kernel's top-level phases (`stage`,
@@ -228,65 +222,11 @@ impl KernelProfile {
 pub struct PhaseStats {
     /// Phase (span) name.
     pub name: String,
-    /// Number of spans with this name across all traced warps.
-    pub spans: u64,
-    /// Warp instructions attributed to the phase.
-    pub warp_instructions: u64,
-    /// Warp-level integer instructions attributed to the phase.
-    pub int_instructions: u64,
-    /// Warp-level INTOPs (integer instructions × warp width) — the
-    /// paper's `smsp__inst_executed`-derived metric.
-    pub intops: u64,
-    /// Lane-level integer operations actually performed (active lanes).
-    pub lane_int_ops: u64,
-    /// HBM bytes moved during the phase.
-    pub hbm_bytes: u64,
-    /// Integer instructions per active-lane occupancy quartile
-    /// (0–25 %, 25–50 %, 50–75 %, 75–100 %].
-    pub occupancy_quartiles: [u64; 4],
-}
-
-impl PhaseStats {
-    fn zero(name: &str) -> Self {
-        PhaseStats {
-            name: name.to_string(),
-            spans: 0,
-            warp_instructions: 0,
-            int_instructions: 0,
-            intops: 0,
-            lane_int_ops: 0,
-            hbm_bytes: 0,
-            occupancy_quartiles: [0; 4],
-        }
-    }
-
-    /// INTOP intensity (integer ops per HBM byte) of this phase — the
-    /// roofline x-axis, resolved per pipeline stage.
-    pub fn intop_intensity(&self) -> f64 {
-        if self.hbm_bytes == 0 {
-            return f64::INFINITY;
-        }
-        self.intops as f64 / self.hbm_bytes as f64
-    }
-
-    /// Mean active-lane fraction over the phase's integer instructions
-    /// (1.0 = no divergence; the serial mer-walk sits near 1/width).
-    pub fn lane_utilization(&self) -> f64 {
-        if self.intops == 0 {
-            return 1.0;
-        }
-        self.lane_int_ops as f64 / self.intops as f64
-    }
-
-    /// Fraction of integer instructions per occupancy quartile — the
-    /// phase-resolved divergence profile.
-    pub fn divergence_profile(&self) -> [f64; 4] {
-        let total: u64 = self.occupancy_quartiles.iter().sum();
-        if total == 0 {
-            return [0.0; 4];
-        }
-        self.occupancy_quartiles.map(|q| q as f64 / total as f64)
-    }
+    /// Every span's counter delta, absorbed as one warp each: `warps`
+    /// counts the phase's spans, and the rates (`intop_intensity`,
+    /// `lane_utilization`, `divergence_profile`) follow the definitions
+    /// the trace exports apply to each span.
+    pub counters: AggCounters,
 }
 
 /// Per-phase profile derived from the warp traces of a run — what the
@@ -309,20 +249,14 @@ impl TraceProfile {
                 let idx = match phases.iter().position(|p| p.name == s.name) {
                     Some(i) => i,
                     None => {
-                        phases.push(PhaseStats::zero(s.name));
+                        phases.push(PhaseStats {
+                            name: s.name.to_string(),
+                            counters: AggCounters::default(),
+                        });
                         phases.len() - 1
                     }
                 };
-                let p = &mut phases[idx];
-                p.spans += 1;
-                p.warp_instructions += s.delta.warp_instructions;
-                p.int_instructions += s.delta.int_instructions;
-                p.intops += s.delta.intops();
-                p.lane_int_ops += s.delta.lane_int_ops;
-                p.hbm_bytes += s.delta.mem.hbm_bytes();
-                for q in 0..4 {
-                    p.occupancy_quartiles[q] += s.delta.occupancy_quartiles[q];
-                }
+                phases[idx].counters.absorb(&s.delta);
             }
         }
         phases.sort_by(|a, b| a.name.cmp(&b.name));
@@ -365,22 +299,31 @@ mod trace_profile_tests {
         assert_eq!(traces[0].phase_names(), vec!["construct", "stage", "walk"]);
         let p = TraceProfile::from_traces(&traces);
         assert_eq!(p.warps, 1);
-        let construct = p.phase("construct").unwrap();
-        let walk = p.phase("walk").unwrap();
-        assert!(construct.intops > 0);
-        assert!(walk.intops > 0);
+        let construct = &p.phase("construct").unwrap().counters;
+        let walk = &p.phase("walk").unwrap().counters;
+        assert!(construct.intops() > 0);
+        assert!(walk.intops() > 0);
         // The mer-walk is single-lane; construction is warp-parallel.
         assert!(walk.lane_utilization() < 0.1);
         assert!(construct.lane_utilization() > walk.lane_utilization());
         // Walk divergence lives in the bottom occupancy quartile.
         assert!(walk.divergence_profile()[0] > 0.9);
+        // Staging issues no integer instruction: the phase reports the
+        // utilization its span deltas (and so the trace exports) report.
+        let stage = &p.phase("stage").unwrap().counters;
+        assert_eq!(stage.warps, 1, "one stage span per traced warp");
+        assert_eq!(stage.int_instructions, 0);
+        for span in traces[0].spans.iter().filter(|s| s.name == "stage") {
+            assert_eq!(stage.lane_utilization(), span.delta.lane_utilization());
+        }
+        assert_eq!(stage.lane_utilization(), 0.0);
     }
 
     #[test]
     fn phase_totals_cover_the_whole_kernel() {
         let traces = traced_kernel_run();
         let p = TraceProfile::from_traces(&traces);
-        let sum: u64 = p.phases.iter().map(|ph| ph.warp_instructions).sum();
+        let sum: u64 = p.phases.iter().map(|ph| ph.counters.warp_instructions).sum();
         assert!(sum > 0);
         // Top-level phases partition the kernel body (no nesting).
         assert!(sum <= traces[0].end_clock());

@@ -1,16 +1,14 @@
-//! Tombstone deletion and warp-cooperative in-kernel incremental resizing.
+//! Warp-cooperative in-kernel incremental resizing.
 //!
 //! The paper's kernel treats a full hash table as fatal pathology
 //! (`"*hashtable full*"`), and the launch layer's grown-`slot_reserve`
 //! escalation re-runs the whole job host-side. WarpSpeed-class GPU tables
-//! complete the engine instead: deletion writes a [`TOMBSTONE`] sentinel
-//! (never terminating a probe scan — see the rule in [`crate::table`]),
-//! and when occupancy crosses the layout's high-water mark mid-insert the
-//! warp allocates a successor region from its arena, migrates live slots
-//! in bounded warp-width chunks (ballot-coordinated, so every dialect
-//! stays warp-synchronous), and retires the old region. `HashTableFull`
-//! escalation thereby demotes from "common long-tail path" to "arena
-//! genuinely exhausted".
+//! manage their own capacity instead: when occupancy crosses the layout's
+//! high-water mark mid-insert the warp allocates a successor region from
+//! its arena, migrates live slots in bounded warp-width chunks
+//! (ballot-coordinated, so every dialect stays warp-synchronous), and
+//! retires the old region. `HashTableFull` escalation thereby demotes
+//! from "common long-tail path" to "arena genuinely exhausted".
 //!
 //! Everything here is gated on [`DeviceJob::resize`]: with the knob off
 //! (the default) no code in this module runs and every table access stays
@@ -20,7 +18,6 @@ use crate::fault::KernelFault;
 use crate::layout::{
     key_hash, walk_budget, DeviceJob, EMPTY, ENTRY_STRIDE, OFF_KEY_LEN, OFF_KEY_OFF,
 };
-use crate::table::TOMBSTONE;
 use simt::{LaneVec, Mask, Warp};
 
 /// Incremental resizes one job may perform (base, 2×, 4×): past the cap
@@ -30,27 +27,10 @@ use simt::{LaneVec, Mask, Warp};
 /// successor slabs.
 pub const MAX_RESIZES: u32 = 2;
 
-/// Delete each active lane's slot: store [`TOMBSTONE`] into the slot's
-/// key-length word. The slot stays claimed for probe purposes — scans
-/// pass through it, inserts never reclaim it — until the next migration
-/// drops it. Host-side counters track the deletion for the sanitizer's
-/// tombstone-consistency scan.
-pub fn ht_delete(warp: &mut Warp, job: &mut DeviceJob, mask: Mask, slot: &LaneVec<u32>) {
-    if mask.is_empty() {
-        return;
-    }
-    let addrs = LaneVec::from_fn(warp.width(), |l| job.entry_field(slot[l], OFF_KEY_LEN));
-    let vals = LaneVec::splat(TOMBSTONE);
-    warp.store_u32(mask, &addrs, &vals);
-    let n = mask.count();
-    job.tombstones += n;
-    job.occupied = job.occupied.saturating_sub(n);
-}
-
 /// Pre-insert capacity check, called by every dialect at the top of
 /// `ht_get_atomic` when [`DeviceJob::resize`] is armed: while the claimed
-/// slots (live + tombstones) plus the incoming warp-width burst would
-/// cross the layout's high-water mark, migrate into the grown geometry.
+/// slots plus the incoming warp-width burst would cross the layout's
+/// high-water mark, migrate into the grown geometry.
 /// Bounded by [`MAX_RESIZES`]; a job that outgrows the cap falls through
 /// to the ordinary `HashTableFull` discipline.
 pub fn ensure_capacity(
@@ -63,7 +43,7 @@ pub fn ensure_capacity(
     }
     while job.resizes_done < MAX_RESIZES {
         let high = job.layout.as_layout().high_water(job);
-        if job.occupied + job.tombstones + incoming <= high {
+        if job.occupied + incoming <= high {
             break;
         }
         grow(warp, job)?;
@@ -78,9 +58,7 @@ pub fn ensure_capacity(
 /// Migration is warp-synchronous: each chunk covers one warp-width window
 /// of old slots, every lane loads its slot's key-length word, and one
 /// ballot coordinates which lanes carry live entries before they re-probe
-/// into the successor. Tombstones are dropped wholesale — the successor
-/// table starts tombstone-free, which is what lets deletion-heavy
-/// workloads keep their probe chains short.
+/// into the successor.
 ///
 /// An armed [`simt::InjectedFaults::resize_abort`] fires after the first
 /// chunk: the job is left mid-migration (old region partially drained,
@@ -116,10 +94,10 @@ fn grow(warp: &mut Warp, job: &mut DeviceJob) -> Result<(), KernelFault> {
             job.entry_field((chunk_start + l).min(job.slots - 1), OFF_KEY_LEN)
         });
         let lens = warp.load_u32(active, &len_addrs);
-        warp.iop(active, 2); // sentinel classification (EMPTY / TOMBSTONE / live)
+        warp.iop(active, 2); // EMPTY compare + branch
         let mut live = Mask::NONE;
         for l in active.lanes() {
-            if lens[l] != EMPTY && lens[l] != TOMBSTONE {
+            if lens[l] != EMPTY {
                 live.set(l);
             }
         }
@@ -187,13 +165,11 @@ fn grow(warp: &mut Warp, job: &mut DeviceJob) -> Result<(), KernelFault> {
 
     // Retire the old region: the job now points at the successor. The
     // walk budget tracks the new probe bound (invariant 10: resizing
-    // changes capacity and probe cost, never extensions), and tombstones
-    // were dropped by construction.
+    // changes capacity and probe cost, never extensions).
     job.ht = next.ht;
     job.slots = next.slots;
     job.front_slots = next.front_slots;
     job.occupied = migrated;
-    job.tombstones = 0;
     job.resizes_done += 1;
     job.walk_budget = walk_budget(job.k, lay.probe_bound(job), job.walk);
     Ok(())
@@ -204,7 +180,6 @@ mod tests {
     use super::*;
     use crate::insert_cuda::ht_get_atomic;
     use crate::probe::InsertArgs;
-    use crate::table::TableLayoutKind;
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;
@@ -221,26 +196,23 @@ mod tests {
             .collect()
     }
 
-    fn staged(kind: TableLayoutKind, resize: bool) -> (Warp, DeviceJob) {
+    fn staged() -> (Warp, DeviceJob) {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());
         let seq = scrambled_seq(120);
         let reads = vec![Read::with_uniform_qual(&seq, b'I')];
-        let mut job = DeviceJob::stage_with_layout(
+        let job = DeviceJob::stage(
             &mut warp,
             b"ACGTACGTACGTACGTACGTA",
             &reads,
             21,
             WalkConfig::default(),
             1,
-            kind,
         )
         .unwrap();
-        job.resize = resize;
         (warp, job)
     }
 
-    fn insert_all(warp: &mut Warp, job: &mut DeviceJob) -> Vec<u32> {
-        let mut slots = Vec::new();
+    fn insert_all(warp: &mut Warp, job: &mut DeviceJob) {
         let span = job.spans[0];
         for start in 0..=(span.len as usize - job.k) {
             let off = span.offset + start as u32;
@@ -251,45 +223,8 @@ mod tests {
                 key_off: LaneVec::splat(off),
                 hash: LaneVec::splat(h),
             };
-            let s = ht_get_atomic(warp, job, &args).unwrap();
-            slots.push(s[0]);
+            ht_get_atomic(warp, job, &args).unwrap();
         }
-        slots
-    }
-
-    #[test]
-    fn delete_tombstones_the_slot_and_tracks_counters() {
-        let (mut warp, mut job) = staged(TableLayoutKind::LinearProbe, true);
-        let slots = insert_all(&mut warp, &mut job);
-        let live_before = job.occupied;
-        assert!(live_before > 0, "bookkeeping follows inserts");
-        ht_delete(&mut warp, &mut job, Mask::lane(0), &LaneVec::splat(slots[0]));
-        assert_eq!(
-            warp.mem.read_u32(job.entry_field(slots[0], OFF_KEY_LEN)),
-            TOMBSTONE
-        );
-        assert_eq!(job.tombstones, 1);
-        assert_eq!(job.occupied, live_before - 1);
-    }
-
-    #[test]
-    fn tombstone_does_not_terminate_a_reinsert_probe() {
-        // Claim two slots on one chain, tombstone the first, then
-        // re-insert the second key: the probe must pass through the
-        // tombstone and find the live entry, not claim a fresh slot.
-        let (mut warp, mut job) = staged(TableLayoutKind::LinearProbe, true);
-        let h = 7u32;
-        let mk = |off: u32| InsertArgs {
-            mask: Mask::lane(0),
-            key_off: LaneVec::splat(off),
-            hash: LaneVec::splat(h),
-        };
-        let a = ht_get_atomic(&mut warp, &mut job, &mk(0)).unwrap()[0];
-        let b = ht_get_atomic(&mut warp, &mut job, &mk(1)).unwrap()[0];
-        assert_ne!(a, b, "distinct keys on one chain");
-        ht_delete(&mut warp, &mut job, Mask::lane(0), &LaneVec::splat(a));
-        let again = ht_get_atomic(&mut warp, &mut job, &mk(1)).unwrap()[0];
-        assert_eq!(again, b, "the tombstone must not hide the live key");
     }
 
     /// Stage under a table squeeze so the first warp-width burst of
@@ -319,7 +254,6 @@ mod tests {
         insert_all(&mut warp, &mut job);
         assert!(job.resizes_done >= 1, "the squeezed table must have grown");
         assert!(job.slots > base_slots);
-        assert_eq!(job.tombstones, 0, "migration drops tombstones");
         // Every inserted key is still found at its (new) slot.
         let span = job.spans[0];
         for start in 0..=(span.len as usize - job.k) {
@@ -377,7 +311,7 @@ mod tests {
 
     #[test]
     fn resize_disabled_never_runs_this_module() {
-        let (mut warp, mut job) = staged(TableLayoutKind::LinearProbe, false);
+        let (mut warp, mut job) = staged();
         let before = warp.mem.allocated();
         insert_all(&mut warp, &mut job);
         assert_eq!(job.resizes_done, 0);

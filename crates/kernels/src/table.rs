@@ -31,29 +31,10 @@
 //! members live and how long it takes to find them. In-kernel resizing
 //! (invariant 10) is the same contract over time: a resize changes
 //! capacity and probe cost, never extensions.
-//!
-//! **Tombstones.** Deletion writes [`TOMBSTONE`] into a slot's key-length
-//! word. The rule every layout shares: a tombstone never terminates a
-//! probe scan — only [`EMPTY`](crate::layout::EMPTY) does — and insertion
-//! claims only the first `EMPTY` along the sequence, never a tombstone.
-//! That preserves the first-`EMPTY`-along-fixed-sequence early-exit proof
-//! verbatim: a key inserted before any deletion sits at or before the
-//! first hole of its sequence, and deleting *another* key merely turns an
-//! occupied slot into a tombstone, which scans pass through exactly as
-//! they passed through the occupied slot. Tombstones are reclaimed only
-//! by the migration pass of an in-kernel resize, which copies live slots
-//! into a fresh region and drops tombstones wholesale.
 
 use crate::fault::KernelFault;
 use crate::layout::DeviceJob;
 use locassm_core::estimate_slots;
-
-/// Deletion sentinel stored in a slot's key-length word. Distinct from
-/// [`EMPTY`](crate::layout::EMPTY) (`0`): an `EMPTY` slot terminates a
-/// probe scan, a `TOMBSTONE` slot never does. `u32::MAX` can never be a
-/// real key length (key bytes live in the staged read buffer, whose spans
-/// are far smaller), so the sentinel is unambiguous.
-pub const TOMBSTONE: u32 = u32::MAX;
 
 /// Slots per bucket in the bucketed and iceberg front-yard regions — one
 /// 384-byte bucket spans three 128-byte cache lines at the 48-byte entry
@@ -154,7 +135,7 @@ pub trait TableLayout: std::fmt::Debug + Sync {
     ) -> Result<TableGeometry, KernelFault>;
 
     /// Occupancy high-water mark for in-kernel resizing: once
-    /// `occupied + tombstones + incoming` crosses it mid-insert, the warp
+    /// `occupied + incoming` crosses it mid-insert, the warp
     /// migrates into [`Self::grown_geometry`] before claiming new slots.
     /// Sits below the layout's design load factor so resize triggers
     /// before the probe chains that precede `HashTableFull` get long.
@@ -215,11 +196,6 @@ fn slot_target(estimate: u128) -> Result<u32, KernelFault> {
 }
 
 /// The paper's single-region open-addressed layout.
-///
-/// **Tombstone rule:** the stride-2 probe sequence passes through a
-/// tombstone exactly as it passes through an occupied slot — only `EMPTY`
-/// terminates a scan — so the coprime-stride wrap proof (odd slot count)
-/// is untouched by deletion.
 #[derive(Debug)]
 pub struct LinearLayout;
 
@@ -296,11 +272,6 @@ impl TableLayout for LinearLayout {
 /// Insertion takes the first empty slot along the sequence, so the
 /// overflow condition is a full 8-bucket cascade — rare at the 0.75
 /// design load — while lookups keep the first-`EMPTY` early exit.
-///
-/// **Tombstone rule:** a tombstone occupies a bucket way like a live key:
-/// the cascade continues past it (and past the bucket-crossing votes)
-/// until the first `EMPTY`. Deleting a way does *not* re-open the bucket
-/// for early exit — only migration reclaims it.
 #[derive(Debug)]
 pub struct BucketedLayout;
 
@@ -413,12 +384,6 @@ impl TableLayout for BucketedLayout {
 }
 
 /// Iceberg-style two-level layout: dense front yard + backyard overflow.
-///
-/// **Tombstone rule:** a tombstoned front-bucket way stays claimed — the
-/// probe sequence still exhausts all eight front ways before spilling, so
-/// the one bucket-crossing vote fires at the same probe index whether or
-/// not deletions happened. The backyard's linear scan passes through
-/// tombstones like any occupied slot; only `EMPTY` ends it.
 #[derive(Debug)]
 pub struct IcebergLayout;
 

@@ -9,7 +9,6 @@
 
 use crate::fault::KernelFault;
 use crate::layout::{DeviceJob, EMPTY, OFF_HI_Q, OFF_KEY_LEN, OFF_KEY_OFF, OFF_LOW_Q};
-use crate::table::TOMBSTONE;
 use locassm_core::murmur::murmur_intops;
 use locassm_core::walk::{decide_extension, window_fingerprint, Walk, WalkState};
 use locassm_core::HtValue;
@@ -112,15 +111,6 @@ pub fn mer_walk_kernel(warp: &mut Warp, job: &DeviceJob) -> Result<Walk, KernelF
             warp.iop(lm, 1);
             if len_v == EMPTY {
                 break;
-            }
-            if len_v == TOMBSTONE {
-                // A deleted slot: its key bytes are gone (the stale
-                // key_off may alias a live key's offset) but the probe
-                // chain continues *through* it — only EMPTY terminates a
-                // lookup, the shared tombstone rule of [`crate::table`].
-                slot = lay.slot_at(job, fp, probe + 1);
-                warp.iop(lm, 2);
-                continue;
             }
             let off = warp.load_u32_scalar(lane, job.entry_field(slot, OFF_KEY_OFF));
             for j in 0..chunks {
@@ -242,58 +232,6 @@ mod tests {
         let gpu = run_gpu(b"GGAACC", &reads, 4, short);
         assert_eq!(gpu.state, WalkState::MaxLen);
         assert_eq!(gpu.extension.len(), 2);
-    }
-
-    #[test]
-    fn tombstone_between_home_and_live_key_does_not_hide_it() {
-        // Regression: a deleted key sitting between a live key and its
-        // home slot must not terminate the lookup (hiding the live key)
-        // nor match through its stale key_off. The perturbed walk must
-        // reproduce the clean walk bit-for-bit.
-        let reads = vec![Read::with_uniform_qual(b"ACGTACGGTTACCA", b'I')];
-        let contig = b"GGGGACGTACG";
-        let clean = run_gpu(contig, &reads, 4, cfg());
-        assert!(!clean.extension.is_empty(), "the reference walk must extend");
-
-        let mut warp = Warp::new(32, HierarchyConfig::tiny());
-        let mut job = DeviceJob::stage(&mut warp, contig, &reads, 4, cfg(), 1).unwrap();
-        construct_hash_table(&mut warp, &mut job, Dialect::Cuda).unwrap();
-
-        // The walk's first window and its probe chain.
-        let k = job.k;
-        let tail = job.contig + job.contig_len as u64 - k as u64;
-        let window = warp.mem.read_bytes(tail, k as u64).to_vec();
-        let fp = window_fingerprint(&window);
-        let lay = job.layout.as_layout();
-        let home = lay.slot_at(&job, fp, 0);
-        assert_eq!(
-            warp.mem.read_u32(job.entry_field(home, OFF_KEY_LEN)),
-            k as u32,
-            "construction put the window's key at its home slot"
-        );
-        let next = (1..lay.probe_bound(&job))
-            .map(|idx| lay.slot_at(&job, fp, idx))
-            .find(|&s| warp.mem.read_u32(job.entry_field(s, OFF_KEY_LEN)) == EMPTY)
-            .expect("the probe chain must reach a free slot to move the entry into");
-
-        // Push the live entry down its probe chain (to the first free
-        // slot), then tombstone the home slot — exactly what a delete
-        // after a hash collision leaves behind. The tombstone keeps its
-        // stale key_off (which aliases the live key's offset) but loses
-        // its votes: a lookup that wrongly matches the tombstone decides
-        // from zeroed counters and diverges from the clean walk.
-        for w in 0..(crate::layout::ENTRY_STRIDE / 4) {
-            let v = warp.mem.read_u32(job.entry_field(home, 4 * w));
-            warp.mem.write_u32(job.entry_field(next, 4 * w), v);
-        }
-        warp.mem.write_u32(job.entry_field(home, OFF_KEY_LEN), TOMBSTONE);
-        for b in 0..4u64 {
-            warp.mem.write_u32(job.entry_field(home, OFF_HI_Q + 4 * b), 0);
-            warp.mem.write_u32(job.entry_field(home, OFF_LOW_Q + 4 * b), 0);
-        }
-
-        let walk = mer_walk_kernel(&mut warp, &job).unwrap();
-        assert_eq!(walk, clean, "the live key behind the tombstone stayed reachable");
     }
 
     #[test]

@@ -75,9 +75,15 @@ fn assert_bit_identical(ds: &locassm_core::io::Dataset, device: DeviceId, parall
     assert_sched_profile_sane(&schd, &format!("{tag} scheduled"));
 }
 
-/// A Scheduled run must surface a replay profile with physically sensible
-/// counters: at least one SM used, a finite positive makespan, occupancy in
-/// (0, 1], a hidden fraction in [0, 1], and a finite modeled time.
+/// Issue-port ticks covered by a run's SM slices.
+fn port_ticks(r: &GpuRunResult) -> u64 {
+    r.sched_tracks.iter().map(|s| s.end - s.start).sum()
+}
+
+/// A traced Scheduled run must surface a replay profile with physically
+/// sensible counters: at least one SM used, a finite positive makespan,
+/// occupancy in (0, 1], a hidden fraction in [0, 1], a finite modeled
+/// time, and SM slices that cover every busy tick.
 fn assert_sched_profile_sane(r: &GpuRunResult, tag: &str) {
     let sched = r
         .profile
@@ -96,10 +102,7 @@ fn assert_sched_profile_sane(r: &GpuRunResult, tag: &str) {
         r.profile.seconds().is_finite() && r.profile.seconds() > 0.0,
         "{tag}: scheduled seconds"
     );
-    assert!(
-        r.sched_tracks.is_empty(),
-        "{tag}: SM tracks must stay empty unless GpuConfig::sched_tracks is set"
-    );
+    assert_eq!(port_ticks(r), sched.busy_ticks, "{tag}: slices cover every busy tick");
 }
 
 /// The full matrix on the primary k = 21 preset: three dialects ×
@@ -208,22 +211,23 @@ fn scheduled_replay_is_deterministic() {
     }
 }
 
-/// SM track recording is opt-in, produces non-empty phase-labelled slices
-/// on a run-global clock, and does not perturb the replay accounting. The
-/// slices cover every issue-port tick the profile counts, escalation
-/// retries included.
+/// SM tracks come with tracing: a traced Scheduled run produces non-empty
+/// phase-labelled slices on a run-global clock, an untraced one records
+/// none, and recording does not perturb the replay accounting. The slices
+/// cover every issue-port tick the profile counts, escalation retries
+/// included.
 #[test]
 fn sched_tracks_are_opt_in_and_consistent() {
     let ds = paper_dataset(21, 0.002, 42);
     let mut cfg = GpuConfig::for_device(DeviceId::A100);
     cfg.exec = ExecMode::Scheduled;
-    cfg.sched_tracks = true;
+    cfg.trace = true;
     let tracked = run_local_assembly(&ds, &cfg);
-    cfg.sched_tracks = false;
+    cfg.trace = false;
     let plain = run_local_assembly(&ds, &cfg);
 
-    assert!(!tracked.sched_tracks.is_empty(), "tracks requested but none recorded");
-    assert!(plain.sched_tracks.is_empty(), "tracks recorded without the flag");
+    assert!(!tracked.sched_tracks.is_empty(), "traced run recorded no SM tracks");
+    assert!(plain.sched_tracks.is_empty(), "SM tracks recorded without tracing");
     assert_eq!(
         tracked.profile.phases.sched, plain.profile.phases.sched,
         "track recording must not change the replay accounting"
@@ -234,12 +238,11 @@ fn sched_tracks_are_opt_in_and_consistent() {
         assert!(s.sm < sched.sms_used, "slice on SM {} beyond sms_used", s.sm);
         assert!(!s.phase.is_empty(), "unlabelled slice on SM {}", s.sm);
     }
-    let port_ticks = |r: &GpuRunResult| r.sched_tracks.iter().map(|s| s.end - s.start).sum::<u64>();
     assert_eq!(port_ticks(&tracked), sched.busy_ticks, "slices cover every busy tick");
 
     // A transient watchdog trip forces exactly one escalation retry; its
     // replay shifts the run clock, so its slices must land in the tracks.
-    cfg.sched_tracks = true;
+    cfg.trace = true;
     cfg.fault = Some(FaultPlan::watchdog(2));
     let retried = run_local_assembly(&ds, &cfg);
     assert_eq!(

@@ -6,7 +6,7 @@
 //! hash-table probes touch one or two sectors of a line, and a non-sectored
 //! model would overestimate DRAM traffic by up to 4×.
 
-use crate::config::{CacheConfig, SECTOR_BYTES};
+use crate::config::CacheConfig;
 
 /// Outcome of accessing one sector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -221,11 +221,6 @@ impl Cache {
         tags[victim] = line_tag;
         *line = LineMeta { last_use: tick, valid, dirty: if write { sector_bit } else { 0 } };
         SectorOutcome::LineMiss
-    }
-
-    /// Total bytes of write-back traffic generated so far.
-    pub fn writeback_bytes(&self) -> u64 {
-        self.writebacks * SECTOR_BYTES
     }
 
     /// Flush all dirty sectors, returning the number of dirty sectors that

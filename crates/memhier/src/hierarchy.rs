@@ -19,12 +19,6 @@ pub enum AccessKind {
     Write,
 }
 
-impl AccessKind {
-    pub fn is_write(self) -> bool {
-        matches!(self, AccessKind::Write)
-    }
-}
-
 /// The deepest level of the hierarchy a memory access had to reach —
 /// the latency class of the access, consumed by the scheduled-execution
 /// mode (`simt::sched`) to pick a completion latency for the issuing

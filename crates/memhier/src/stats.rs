@@ -26,11 +26,6 @@ impl LevelStats {
             self.hits as f64 / self.requests as f64
         }
     }
-
-    /// Bytes this level moved to/from the level below.
-    pub fn bytes_below(&self) -> u64 {
-        (self.misses + self.writebacks) * SECTOR_BYTES
-    }
 }
 
 impl AddAssign for LevelStats {
@@ -59,14 +54,6 @@ impl MemStats {
     /// Total HBM bytes moved — the paper's `dram__bytes.sum` equivalent.
     pub fn hbm_bytes(&self) -> u64 {
         (self.hbm_read_transactions + self.hbm_write_transactions) * SECTOR_BYTES
-    }
-
-    pub fn hbm_read_bytes(&self) -> u64 {
-        self.hbm_read_transactions * SECTOR_BYTES
-    }
-
-    pub fn hbm_write_bytes(&self) -> u64 {
-        self.hbm_write_transactions * SECTOR_BYTES
     }
 
     /// Total HBM transactions.
@@ -121,8 +108,6 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(s.hbm_bytes(), 5 * SECTOR_BYTES);
-        assert_eq!(s.hbm_read_bytes(), 96);
-        assert_eq!(s.hbm_write_bytes(), 64);
     }
 
     #[test]

@@ -43,12 +43,6 @@ impl SpeedupPoint {
     pub fn combined_speedup(&self) -> f64 {
         self.speedup_from_ai() * self.speedup_from_performance()
     }
-
-    /// Is the point in the "lower-left corner" the paper contrasts with
-    /// well-tuned stencils (both efficiencies under the threshold)?
-    pub fn is_lower_left(&self, threshold: f64) -> bool {
-        self.algorithm_eff < threshold && self.architectural_eff < threshold
-    }
 }
 
 #[cfg(test)]
@@ -61,16 +55,6 @@ mod tests {
         assert!((p.speedup_from_ai() - 4.0).abs() < 1e-12);
         assert!((p.speedup_from_performance() - 8.0).abs() < 1e-12);
         assert!((p.combined_speedup() - 32.0).abs() < 1e-12);
-    }
-
-    #[test]
-    fn lower_left_classification() {
-        // The paper's local assembly points cluster lower-left; a tuned
-        // stencil would sit upper-right.
-        let locassm = SpeedupPoint::new(0.18, 0.15);
-        let stencil = SpeedupPoint::new(0.85, 0.8);
-        assert!(locassm.is_lower_left(0.5));
-        assert!(!stencil.is_lower_left(0.5));
     }
 
     #[test]

@@ -50,11 +50,6 @@ impl<T: Copy + Default> LaneVec<T> {
         }
     }
 
-    /// Collect the values of active lanes (ascending lane order).
-    pub fn gather(&self, mask: Mask) -> Vec<T> {
-        mask.lanes().map(|l| self.vals[l as usize]).collect()
-    }
-
     /// Iterator of `(lane, value)` over active lanes.
     pub fn iter_masked(&self, mask: Mask) -> impl Iterator<Item = (u32, T)> + '_ {
         mask.lanes().map(move |l| (l, self.vals[l as usize]))
@@ -102,7 +97,6 @@ mod tests {
         assert_eq!((v[0], v[1], v[2]), (3, 0, 3));
         v.update_masked(m, |lane, x| x + lane);
         assert_eq!((v[0], v[1], v[2]), (3, 0, 5));
-        assert_eq!(v.gather(m), vec![3, 5]);
         let pairs: Vec<_> = v.iter_masked(m).collect();
         assert_eq!(pairs, vec![(0, 3), (2, 5)]);
     }

@@ -110,7 +110,6 @@ impl SanitizerConfig {
             SanKind::DuplicateKey { .. }
             | SanKind::TableOverflow { .. }
             | SanKind::MisplacedKey { .. }
-            | SanKind::TombstoneMismatch { .. }
             | SanKind::MigrationMismatch { .. } => self.invariants,
         }
     }
@@ -207,20 +206,10 @@ pub enum SanKind {
         /// Slot holding the unreachable key.
         slot: u32,
     },
-    /// Post-construct invariant violation: the job's host-side tombstone
-    /// count disagrees with a scan of the table — a deletion lost its
-    /// sentinel, or a migration retired tombstones without resetting the
-    /// counter ("dangling tombstone count").
-    TombstoneMismatch {
-        /// Tombstones the job's host-side counter claims.
-        counted: u32,
-        /// Tombstone slots a full table scan actually found.
-        scanned: u32,
-    },
-    /// Post-construct invariant violation: live occupancy (occupied slots
-    /// minus tombstones) disagrees with the job's host-side occupancy
-    /// counter after migration — a slot was migrated twice (double
-    /// counted) or dropped (lost) by an incremental resize.
+    /// Post-construct invariant violation: live occupancy (occupied slots)
+    /// disagrees with the job's host-side occupancy counter after
+    /// migration — a slot was migrated twice (double counted) or dropped
+    /// (lost) by an incremental resize.
     MigrationMismatch {
         /// Live entries the job's host-side counter claims.
         counted: u32,
@@ -244,7 +233,6 @@ impl SanKind {
             SanKind::DuplicateKey { .. } => "duplicate_key",
             SanKind::TableOverflow { .. } => "table_overflow",
             SanKind::MisplacedKey { .. } => "misplaced_key",
-            SanKind::TombstoneMismatch { .. } => "tombstone_mismatch",
             SanKind::MigrationMismatch { .. } => "migration_mismatch",
         }
     }

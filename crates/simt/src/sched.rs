@@ -260,11 +260,6 @@ impl<T> TimeQueue<T> {
         Some(self.entries.remove(first))
     }
 
-    /// The earliest scheduled time, if any.
-    pub fn peek_time(&self) -> Option<u64> {
-        self.entries.iter().map(|e| e.0).min()
-    }
-
     /// Number of scheduled entries.
     pub fn len(&self) -> usize {
         self.entries.len()
@@ -632,7 +627,6 @@ mod timeq_tests {
         q.push(10, "a");
         q.push(20, "b");
         assert_eq!(q.len(), 3);
-        assert_eq!(q.peek_time(), Some(10));
         assert_eq!(q.pop(), Some((10, "a")));
         assert_eq!(q.pop(), Some((20, "b")));
         assert_eq!(q.pop(), Some((30, "c")));

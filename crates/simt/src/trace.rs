@@ -182,11 +182,6 @@ impl TraceSink {
         self.events.push(Event { at: now, kind });
     }
 
-    /// Number of phases currently open.
-    pub fn open_phases(&self) -> usize {
-        self.stack.len()
-    }
-
     /// Seal the sink into an immutable [`WarpTrace`]; panics if a phase
     /// is still open.
     pub(crate) fn finish(self, width: u32) -> WarpTrace {

@@ -249,13 +249,6 @@ impl Warp {
         }
     }
 
-    /// Whether a sanitizer is attached. Kernel call sites that must
-    /// *compute* a check input host-side (e.g. scan the hash table for
-    /// invariants) can skip that work when this is false.
-    pub fn sanitizing(&self) -> bool {
-        self.san.is_some()
-    }
-
     /// The attached sanitizer's config; all-off when none is attached.
     pub fn san_config(&self) -> SanitizerConfig {
         self.san.as_ref().map(|s| s.config()).unwrap_or_default()
@@ -513,21 +506,6 @@ impl Warp {
         self.mem.read_u32(addr)
     }
 
-    /// Single-lane byte load.
-    pub fn load_u8_scalar(&mut self, lane: u32, addr: Addr) -> u8 {
-        if self.exec == ExecMode::Scalar {
-            let addrs = {
-                let mut a = LaneVec::splat(0u64);
-                a[lane] = addr;
-                a
-            };
-            let out = self.load_u8(Mask::lane(lane), &addrs);
-            return out[lane];
-        }
-        self.scalar_access(lane, addr, 1, AccessKind::Read);
-        self.mem.read_u8(addr)
-    }
-
     /// Single-lane 32-bit store.
     pub fn store_u32_scalar(&mut self, lane: u32, addr: Addr, v: u32) {
         if self.exec == ExecMode::Scalar {
@@ -543,18 +521,6 @@ impl Warp {
         }
         self.scalar_access(lane, addr, 4, AccessKind::Write);
         self.mem.write_u32(addr, v);
-    }
-
-    /// Single-lane 64-bit load (one instruction, 8-byte access).
-    pub fn load_u64_scalar(&mut self, lane: u32, addr: Addr) -> u64 {
-        self.scalar_access(lane, addr, 8, AccessKind::Read);
-        self.mem.read_u64(addr)
-    }
-
-    /// Single-lane 64-bit store (one instruction, 8-byte access).
-    pub fn store_u64_scalar(&mut self, lane: u32, addr: Addr, v: u64) {
-        self.scalar_access(lane, addr, 8, AccessKind::Write);
-        self.mem.write_u64(addr, v);
     }
 
     /// Single-lane byte store.
@@ -796,7 +762,7 @@ mod tests {
         let mut w = warp();
         let a = w.mem.alloc(8);
         w.store_u8_scalar(5, a, 0xAB);
-        assert_eq!(w.load_u8_scalar(5, a), 0xAB);
+        assert_eq!(w.mem.read_u8(a), 0xAB);
         w.mem.write_u32(a + 4, 123);
         assert_eq!(w.load_u32_scalar(0, a + 4), 123);
     }
@@ -824,11 +790,9 @@ mod tests {
             w.store_u32_scalar(0, base, 9);
             let a = w.load_u32_scalar(0, base);
             w.store_u8_scalar(1, base + 40, 5);
-            let b = w.load_u8_scalar(1, base + 40);
-            w.store_u64_scalar(2, base + 48, 77);
-            let c = w.load_u64_scalar(2, base + 48);
+            let b = w.mem.read_u8(base + 40);
             let counters = w.finish();
-            (loaded, a, b, c, counters, w.take_trace(), w.take_san_report())
+            (loaded, a, b, counters, w.take_trace(), w.take_san_report())
         };
         let scalar = run(ExecMode::Scalar);
         let vectorized = run(ExecMode::Vectorized);

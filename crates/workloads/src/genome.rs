@@ -8,22 +8,6 @@ pub fn random_genome<R: Rng>(len: usize, rng: &mut R) -> Vec<u8> {
     (0..len).map(|_| BASES[rng.random_range(0..4)]).collect()
 }
 
-/// A set of independent "species" genomes, as a metagenomic sample holds
-/// (used by the domain examples; the local assembly datasets work
-/// per-contig and only need [`random_genome`]).
-pub fn random_metagenome<R: Rng>(
-    species: usize,
-    len_range: std::ops::Range<usize>,
-    rng: &mut R,
-) -> Vec<Vec<u8>> {
-    (0..species)
-        .map(|_| {
-            let len = rng.random_range(len_range.clone());
-            random_genome(len, rng)
-        })
-        .collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -54,16 +38,6 @@ mod tests {
         for &b in &locassm_core::dna::BASES {
             let n = g.iter().filter(|&&x| x == b).count();
             assert!((8_000..12_000).contains(&n), "base {} count {n}", b as char);
-        }
-    }
-
-    #[test]
-    fn metagenome_respects_ranges() {
-        let mut rng = StdRng::seed_from_u64(5);
-        let m = random_metagenome(10, 100..200, &mut rng);
-        assert_eq!(m.len(), 10);
-        for g in &m {
-            assert!((100..200).contains(&g.len()));
         }
     }
 }

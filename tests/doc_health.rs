@@ -1,7 +1,7 @@
-//! CI-style documentation health check.
+//! CI-style documentation and build health checks.
 //!
 //! `crates/simt` opts into `#![warn(missing_docs)]` and the crates
-//! cross-link their rustdoc; this test keeps that from rotting by
+//! cross-link their rustdoc; the first test keeps that from rotting by
 //! rebuilding the workspace docs with warnings denied as part of the
 //! ordinary `cargo test` run. If it fails, run
 //!
@@ -10,6 +10,11 @@
 //! ```
 //!
 //! and fix what it reports (missing docs, broken intra-doc links, …).
+//!
+//! `cargo test` builds no bench or example target, yet those call the
+//! public API too; the second test checks every target of every workspace
+//! crate and fails on any compiler warning. If it fails, run
+//! `cargo check --workspace --all-targets` and fix what it reports.
 
 use std::process::Command;
 
@@ -27,5 +32,21 @@ fn workspace_docs_build_without_warnings() {
         out.status.success(),
         "`cargo doc --no-deps --workspace` emitted warnings/errors:\n{}",
         String::from_utf8_lossy(&out.stderr)
+    );
+}
+
+#[test]
+fn all_targets_check_without_warnings() {
+    let cargo = std::env::var_os("CARGO").unwrap_or_else(|| "cargo".into());
+    let manifest_dir = env!("CARGO_MANIFEST_DIR");
+    let out = Command::new(cargo)
+        .current_dir(manifest_dir)
+        .args(["check", "--workspace", "--all-targets", "--offline"])
+        .output()
+        .expect("failed to spawn cargo check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        out.status.success() && !stderr.lines().any(|l| l.starts_with("warning")),
+        "`cargo check --workspace --all-targets` emitted warnings/errors:\n{stderr}"
     );
 }
