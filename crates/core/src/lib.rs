@@ -19,7 +19,6 @@
 //! * [`assemble`] — per-contig extension (serial and rayon-parallel), the
 //!   correctness oracle for the three GPU kernel dialects,
 //! * [`binning`], [`estimate`] — the host-side pre-processing of Fig. 3,
-//! * [`pipeline`] — the iterative k = 21, 33, 55, 77 workflow of Fig. 2,
 //! * [`io`] — a plain-text dataset format mirroring the artifact's `.dat`
 //!   files.
 
@@ -32,7 +31,6 @@ pub mod ht;
 pub mod io;
 pub mod kmer;
 pub mod murmur;
-pub mod pipeline;
 pub mod quality;
 pub mod read;
 pub mod retry;

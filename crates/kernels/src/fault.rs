@@ -45,18 +45,6 @@ pub enum KernelFault {
         /// Instructions spent when the watchdog fired.
         spent: u64,
     },
-    /// An in-kernel incremental table migration aborted mid-chunk (a
-    /// simulated device-side interruption): the table is left in an
-    /// undefined intermediate state, so the job must restart from staging.
-    /// Retryable — a clean retry re-stages and re-migrates from scratch.
-    ResizeAborted {
-        /// Capacity of the old region the migration was draining.
-        from_slots: u32,
-        /// Capacity of the successor region it was filling.
-        to_slots: u32,
-        /// Live entries migrated before the abort.
-        migrated: u32,
-    },
     /// The job cannot be staged at all (e.g. a contig shorter than one
     /// k-mer chunk, or a zero k). Not retryable.
     MalformedJob {
@@ -85,13 +73,6 @@ impl fmt::Display for KernelFault {
             }
             KernelFault::WalkBudgetExceeded { budget, spent } => {
                 write!(f, "walk budget exceeded ({spent} warp instructions, budget {budget})")
-            }
-            KernelFault::ResizeAborted { from_slots, to_slots, migrated } => {
-                write!(
-                    f,
-                    "table resize aborted mid-migration ({migrated} entries moved, \
-                     {from_slots} -> {to_slots} slots)"
-                )
             }
             KernelFault::MalformedJob { reason } => write!(f, "malformed job: {reason}"),
         }
@@ -185,9 +166,6 @@ mod tests {
         assert!(KernelFault::HashTableFull { capacity: 1, occupancy: 1 }.retryable());
         assert!(KernelFault::ArenaExhausted { requested: 8, limit: 4 }.retryable());
         assert!(KernelFault::WalkBudgetExceeded { budget: 1, spent: 2 }.retryable());
-        assert!(
-            KernelFault::ResizeAborted { from_slots: 41, to_slots: 83, migrated: 7 }.retryable()
-        );
         assert!(!KernelFault::MalformedJob { reason: "x" }.retryable());
     }
 

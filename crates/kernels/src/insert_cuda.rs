@@ -15,7 +15,7 @@ use crate::probe::{
     InsertArgs, SlotVec,
 };
 use crate::resize::ensure_capacity;
-use simt::{LaneVec, Mask, Warp};
+use simt::{Fault, LaneVec, Mask, Warp};
 
 /// Find-or-claim the entry for each active lane's k-mer. Returns the slot
 /// index per lane, or `HashTableFull` if a probe chain wraps the table.
@@ -36,7 +36,7 @@ pub fn ht_get_atomic(
     job: &mut DeviceJob,
     args: &InsertArgs,
 ) -> Result<SlotVec, KernelFault> {
-    if warp.injected_faults().table_full {
+    if warp.injected() == Some(Fault::TableFull) {
         return Err(KernelFault::HashTableFull {
             capacity: job.slots,
             occupancy: table_occupancy(warp, job),

@@ -16,7 +16,7 @@ use locassm_core::murmur::{murmur_hash_aligned2, murmur_intops, DEFAULT_SEED};
 use locassm_core::walk::WalkConfig;
 use locassm_core::Read;
 use memhier::Addr;
-use simt::{ExecMode, Warp};
+use simt::{ExecMode, Fault, Warp};
 use std::collections::HashMap;
 
 /// Hash-table entry layout (stride and field offsets, bytes).
@@ -135,10 +135,9 @@ impl DeviceJob {
     /// the hash-table geometry (slot count, region split) and later the
     /// probe sequence; everything else about staging is identical.
     ///
-    /// An armed [`simt::InjectedFaults::table_squeeze`] divides the
-    /// layout's main region here — the table is staged genuinely
-    /// under-sized, so whether the kernel overflows depends on the
-    /// layout's real headroom.
+    /// An armed [`Fault::TableSqueeze`] divides the layout's main region
+    /// here — the table is staged genuinely under-sized, so whether the
+    /// kernel overflows depends on the layout's real headroom.
     pub fn stage_with_layout(
         warp: &mut Warp,
         contig: &[u8],
@@ -168,7 +167,10 @@ impl DeviceJob {
         }
 
         let insertions: usize = reads.iter().map(|r| r.kmer_count(k)).sum();
-        let squeeze = warp.injected_faults().table_squeeze;
+        let squeeze = match warp.injected() {
+            Some(Fault::TableSqueeze { divisor }) => divisor,
+            _ => 0,
+        };
         let geo = layout.as_layout().geometry(insertions, slot_reserve, squeeze)?;
         // GPU Initialize (Fig. 3): the table must be zero (EMPTY) before
         // launch. The arena guarantees zeroed bytes on every allocation

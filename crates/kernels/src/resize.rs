@@ -59,12 +59,6 @@ pub fn ensure_capacity(
 /// of old slots, every lane loads its slot's key-length word, and one
 /// ballot coordinates which lanes carry live entries before they re-probe
 /// into the successor.
-///
-/// An armed [`simt::InjectedFaults::resize_abort`] fires after the first
-/// chunk: the job is left mid-migration (old region partially drained,
-/// successor partially filled) and the structured
-/// [`KernelFault::ResizeAborted`] tells the launch layer to restart it
-/// from staging. Non-victim jobs never see this path.
 fn grow(warp: &mut Warp, job: &mut DeviceJob) -> Result<(), KernelFault> {
     let lay = job.layout.as_layout();
     let geo = lay.grown_geometry(job);
@@ -151,16 +145,6 @@ fn grow(warp: &mut Warp, job: &mut DeviceJob) -> Result<(), KernelFault> {
             migrated += 1;
         }
         chunk_start += lanes_in_chunk;
-
-        // The injected device-side interruption: fault after the first
-        // chunk, leaving the migration visibly half-done.
-        if warp.injected_faults().resize_abort && chunk_start < job.slots {
-            return Err(KernelFault::ResizeAborted {
-                from_slots: job.slots,
-                to_slots: next.slots,
-                migrated,
-            });
-        }
     }
 
     // Retire the old region: the job now points at the successor. The
@@ -178,11 +162,14 @@ fn grow(warp: &mut Warp, job: &mut DeviceJob) -> Result<(), KernelFault> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::construct::construct_hash_table;
     use crate::insert_cuda::ht_get_atomic;
+    use crate::kernel::Dialect;
     use crate::probe::InsertArgs;
     use locassm_core::walk::WalkConfig;
     use locassm_core::Read;
     use memhier::HierarchyConfig;
+    use simt::Fault;
 
     fn scrambled_seq(len: usize) -> Vec<u8> {
         let mut state = 0x2545_f491u64;
@@ -227,12 +214,12 @@ mod tests {
         }
     }
 
-    /// Stage under a table squeeze so the first warp-width burst of
-    /// inserts crosses the high-water mark and growth actually runs.
-    fn squeezed(squeeze: u32) -> (Warp, DeviceJob) {
+    /// Stage one read of `read_len` bases under a table squeeze, so that
+    /// inserting its k-mers crosses the high-water mark and growth runs.
+    fn squeezed(squeeze: u32, read_len: usize) -> (Warp, DeviceJob) {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());
-        warp.inject_table_squeeze(squeeze);
-        let seq = scrambled_seq(120);
+        warp.inject(Fault::TableSqueeze { divisor: squeeze });
+        let seq = scrambled_seq(read_len);
         let reads = vec![Read::with_uniform_qual(&seq, b'I')];
         let mut job = DeviceJob::stage(
             &mut warp,
@@ -249,7 +236,7 @@ mod tests {
 
     #[test]
     fn growth_triggers_at_the_high_water_mark_and_preserves_content() {
-        let (mut warp, mut job) = squeezed(4);
+        let (mut warp, mut job) = squeezed(4, 120);
         let base_slots = job.slots;
         insert_all(&mut warp, &mut job);
         assert!(job.resizes_done >= 1, "the squeezed table must have grown");
@@ -274,38 +261,30 @@ mod tests {
 
     #[test]
     fn sanitizer_scans_stay_clean_after_growth() {
-        let (mut warp, mut job) = squeezed(4);
+        let (mut warp, mut job) = squeezed(4, 120);
         insert_all(&mut warp, &mut job);
         assert!(job.resizes_done >= 1);
         let found = crate::layout::check_table_invariants(&warp, &job);
         assert!(found.is_empty(), "{found:?}");
     }
 
+    /// Growth is checked once per warp-wide insert burst, against the
+    /// linear layout's ⅞ high-water mark. The 80 distinct 21-mers of a
+    /// 100-base read arrive in bursts of 32, 32 and 16, so the squeeze
+    /// decides when the table grows and how many entries move: ÷2 (61
+    /// slots) grows once, at 64 keys, moving 32; ÷3 (41 slots) grows at
+    /// 64 keys to 83 and again at 80 keys to 167, moving 32 + 64; ÷4 (31
+    /// slots) grows while still empty to 63, then at 64 keys to 127,
+    /// moving 0 + 32. ÷3 moves three times the entries of the others and
+    /// ends with the largest table.
     #[test]
-    fn resize_abort_injection_faults_mid_migration() {
-        let (mut warp, mut job) = squeezed(4);
-        warp.inject_resize_abort();
-        let span = job.spans[0];
-        let mut fault = None;
-        for start in 0..=(span.len as usize - job.k) {
-            let off = span.offset + start as u32;
-            let key = warp.mem.read_bytes(job.reads + off as u64, job.k as u64).to_vec();
-            let args = InsertArgs {
-                mask: Mask::lane(0),
-                key_off: LaneVec::splat(off),
-                hash: LaneVec::splat(key_hash(&key)),
-            };
-            if let Err(f) = ht_get_atomic(&mut warp, &mut job, &args) {
-                fault = Some(f);
-                break;
-            }
-        }
-        match fault.expect("the armed abort must fire on the first growth") {
-            KernelFault::ResizeAborted { from_slots, to_slots, migrated } => {
-                assert!(to_slots > from_slots);
-                assert!(migrated <= from_slots);
-            }
-            other => panic!("wrong fault: {other:?}"),
+    fn squeeze_depth_sets_how_often_the_table_grows() {
+        for (divisor, base, resizes, slots) in [(2, 61, 1, 123), (3, 41, 2, 167), (4, 31, 2, 127)] {
+            let (mut warp, mut job) = squeezed(divisor, 100);
+            assert_eq!(job.slots, base, "÷{divisor} staged size");
+            construct_hash_table(&mut warp, &mut job, Dialect::Cuda).unwrap();
+            assert_eq!((job.resizes_done, job.slots), (resizes, slots), "÷{divisor}");
+            assert_eq!(job.occupied, 80, "÷{divisor}");
         }
     }
 

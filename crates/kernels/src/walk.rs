@@ -12,7 +12,7 @@ use crate::layout::{DeviceJob, EMPTY, OFF_HI_Q, OFF_KEY_LEN, OFF_KEY_OFF, OFF_LO
 use locassm_core::murmur::murmur_intops;
 use locassm_core::walk::{decide_extension, window_fingerprint, Walk, WalkState};
 use locassm_core::HtValue;
-use simt::{LaneVec, Mask, Warp};
+use simt::{Fault, LaneVec, Mask, Warp};
 
 /// Walk lane (lane 0 performs the walk).
 const WALK_LANE: u32 = 0;
@@ -38,7 +38,7 @@ pub fn mer_walk_kernel(warp: &mut Warp, job: &DeviceJob) -> Result<Walk, KernelF
     let chunks = k.div_ceil(4) as u64;
     let cfg = job.walk;
     let watchdog_start = warp.counters.warp_instructions;
-    let budget = if warp.injected_faults().watchdog { 0 } else { job.walk_budget };
+    let budget = if warp.injected() == Some(Fault::Watchdog) { 0 } else { job.walk_budget };
 
     // A contig shorter than the k-mer (or than one 4-byte chunk) has no
     // terminal window to slice: the unsigned tail arithmetic below would
@@ -276,7 +276,7 @@ mod tests {
         let mut warp = Warp::new(32, HierarchyConfig::tiny());
         let mut job = DeviceJob::stage(&mut warp, b"GGGGACGTACG", &reads, 4, cfg(), 1).unwrap();
         construct_hash_table(&mut warp, &mut job, Dialect::Cuda).unwrap();
-        warp.inject_watchdog();
+        warp.inject(Fault::Watchdog);
         match mer_walk_kernel(&mut warp, &job) {
             Err(KernelFault::WalkBudgetExceeded { budget, spent }) => {
                 assert_eq!(budget, 0, "injection zeroes the budget");

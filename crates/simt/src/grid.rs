@@ -267,6 +267,7 @@ where
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::fault::Fault;
     use crate::lanevec::LaneVec;
 
     fn cfg(parallel: bool) -> LaunchConfig {
@@ -540,10 +541,10 @@ mod tests {
         );
     }
 
-    /// Kernel that reports which injected faults it observes.
-    fn fault_probe(w: &mut Warp, _j: &u32) -> (bool, bool, bool) {
-        let f = w.injected_faults();
-        (f.table_full, f.watchdog, w.mem.try_alloc(64).is_err())
+    /// Kernel that reports the injected fault it observes and whether its
+    /// first allocation fails.
+    fn fault_probe(w: &mut Warp, _j: &u32) -> (Option<Fault>, bool) {
+        (w.injected(), w.mem.try_alloc(64).is_err())
     }
 
     #[test]
@@ -553,9 +554,10 @@ mod tests {
             let mut c = cfg(parallel);
             c.fault = Some(FaultPlan::table_full(5));
             let out = launch_warps(c, &jobs, fault_probe);
-            for (i, &(table, dog, alloc)) in out.results.iter().enumerate() {
-                assert_eq!(table, i == 5, "job {i}, parallel={parallel}");
-                assert!(!dog && !alloc, "job {i} must see no other fault");
+            for (i, &(fault, alloc)) in out.results.iter().enumerate() {
+                let want = (i == 5).then_some(Fault::TableFull);
+                assert_eq!(fault, want, "job {i}, parallel={parallel}");
+                assert!(!alloc, "job {i} must see no allocation fault");
             }
         }
     }
@@ -568,7 +570,7 @@ mod tests {
         c.fault_base = 8; // local job 2 is run-global job 10
         let out = launch_warps(c, &jobs, fault_probe);
         let failed: Vec<usize> =
-            out.results.iter().enumerate().filter(|(_, r)| r.2).map(|(i, _)| i).collect();
+            out.results.iter().enumerate().filter(|(_, r)| r.1).map(|(i, _)| i).collect();
         assert_eq!(failed, vec![2]);
     }
 
@@ -580,7 +582,7 @@ mod tests {
         let _ = launch_warps(faulted, &jobs, fault_probe);
         // The same pooled warps, re-acquired, must be fault-free.
         let clean = launch_warps(cfg(false), &jobs, fault_probe);
-        assert!(clean.results.iter().all(|r| !r.0 && !r.1 && !r.2));
+        assert!(clean.results.iter().all(|&r| r == (None, false)));
     }
 
     #[test]

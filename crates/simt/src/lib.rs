@@ -52,7 +52,7 @@ pub mod trace;
 pub mod warp;
 
 pub use counters::{AggCounters, WarpCounters};
-pub use fault::{FaultPlan, InjectedFaults};
+pub use fault::{Fault, FaultPlan};
 pub use grid::{launch_warps, pool_stats, LaunchConfig, LaunchOutput, PoolStats};
 pub use lanevec::LaneVec;
 pub use mask::Mask;

@@ -326,16 +326,6 @@ impl PhaseSched {
         self.stall_ticks += o.stall_ticks;
         self.exposed_ticks += o.exposed_ticks;
     }
-
-    /// Fraction of memory-stall ticks hidden by other resident warps
-    /// (1.0 when every stall overlapped useful issue, 0.0 when the port
-    /// idled for the full stall; 1.0 with no stalls at all).
-    pub fn latency_hidden_fraction(&self) -> f64 {
-        if self.stall_ticks == 0 {
-            return 1.0;
-        }
-        1.0 - (self.exposed_ticks.min(self.stall_ticks) as f64 / self.stall_ticks as f64)
-    }
 }
 
 /// One contiguous execution slice of a warp on an SM's issue port
@@ -422,25 +412,6 @@ impl SchedResult {
             return 1.0;
         }
         1.0 - (self.exposed_ticks().min(stall) as f64 / stall as f64)
-    }
-
-    /// Merge another launch's replay into this one (chunked launches and
-    /// escalation retries run back-to-back on the same device, so
-    /// makespans add while tick sums and `sms_used`/`residency` maxima
-    /// combine).
-    pub fn merge(&mut self, o: &SchedResult) {
-        self.sms_used = self.sms_used.max(o.sms_used);
-        self.residency = self.residency.max(o.residency);
-        self.makespan_ticks += o.makespan_ticks;
-        self.busy_ticks += o.busy_ticks;
-        self.resident_ticks += o.resident_ticks;
-        for (name, p) in &o.phases {
-            match self.phases.iter_mut().find(|(n, _)| n == name) {
-                Some((_, mine)) => mine.merge(p),
-                None => self.phases.push((name, *p)),
-            }
-        }
-        self.tracks.extend_from_slice(&o.tracks);
     }
 }
 
@@ -899,27 +870,6 @@ mod sched_tests {
         assert!(bare.tracks.is_empty());
         assert_eq!(bare.makespan_ticks, r.makespan_ticks);
         assert_eq!(bare.phases, r.phases);
-    }
-
-    #[test]
-    fn merge_adds_makespans_and_phase_ticks() {
-        let c = cfg(2, 4);
-        let warps: Vec<WarpTimeline> =
-            (0..4).map(|i| mk_timeline(i, 3, &[MemLevel::L2, MemLevel::Hbm], 2)).collect();
-        let once = schedule(&warps, &c);
-        let mut twice = once.clone();
-        twice.merge(&once);
-        assert_eq!(twice.makespan_ticks, 2 * once.makespan_ticks);
-        assert_eq!(twice.busy_ticks, 2 * once.busy_ticks);
-        assert_eq!(twice.resident_ticks, 2 * once.resident_ticks);
-        assert_eq!(twice.sms_used, once.sms_used);
-        let p = twice.phase("body").unwrap();
-        let q = once.phase("body").unwrap();
-        assert_eq!(p.issue_ticks, 2 * q.issue_ticks);
-        assert_eq!(p.stall_ticks, 2 * q.stall_ticks);
-        // Occupancy is invariant under self-merge (both numerator and
-        // denominator double).
-        assert!((twice.occupancy() - once.occupancy()).abs() < 1e-12);
     }
 
     /// The recorder's finish() seals the clock; replaying a recorded

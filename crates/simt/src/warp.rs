@@ -12,7 +12,7 @@
 //! * collectives in [`crate::collectives`].
 
 use crate::counters::WarpCounters;
-use crate::fault::InjectedFaults;
+use crate::fault::Fault;
 use crate::lanevec::LaneVec;
 use crate::mask::Mask;
 use crate::mem::GlobalMem;
@@ -67,9 +67,9 @@ pub struct Warp {
     /// one coalesce pass, so reusing this buffer keeps the access hot path
     /// allocation-free at steady state (its capacity survives pool reuse).
     co_scratch: CoalesceResult,
-    /// Armed fault-injection flags (see [`crate::fault`]); cleared by
-    /// [`Warp::reset`].
-    injected: InjectedFaults,
+    /// The armed injected fault, if any (see [`crate::fault`]); cleared
+    /// by [`Warp::reset`].
+    injected: Option<Fault>,
     /// Optional warp sanitizer; `None` (the default) costs one branch per
     /// instrumented call site and models zero instructions, like `trace`.
     san: Option<Box<SanState>>,
@@ -93,7 +93,7 @@ impl Warp {
             counters: WarpCounters::new(width),
             trace: None,
             co_scratch: CoalesceResult::default(),
-            injected: InjectedFaults::default(),
+            injected: None,
             san: None,
             recorder: None,
         }
@@ -116,7 +116,7 @@ impl Warp {
         self.hier.reconfigure(hier_cfg);
         self.counters = WarpCounters::new(width);
         self.trace = None;
-        self.injected = InjectedFaults::default();
+        self.injected = None;
         self.san = None;
         self.recorder = None;
     }
@@ -139,31 +139,20 @@ impl Warp {
         self.exec
     }
 
-    /// Arm the injected hash-table-full fault (see [`crate::fault`]).
-    pub fn inject_table_full(&mut self) {
-        self.injected.table_full = true;
+    /// Arm an injected fault (see [`crate::fault`]). An allocation fault
+    /// also arms the arena's countdown
+    /// ([`GlobalMem::arm_alloc_failure`]).
+    pub fn inject(&mut self, fault: Fault) {
+        if let Fault::AllocFailure { nth } = fault {
+            self.mem.arm_alloc_failure(nth);
+        }
+        self.injected = Some(fault);
     }
 
-    /// Arm the injected walk-watchdog fault (see [`crate::fault`]).
-    pub fn inject_watchdog(&mut self) {
-        self.injected.watchdog = true;
-    }
-
-    /// Arm the injected table squeeze: staging divides the hash table's
-    /// main region by `divisor` (see [`crate::fault`]).
-    pub fn inject_table_squeeze(&mut self, divisor: u32) {
-        self.injected.table_squeeze = divisor.max(2);
-    }
-
-    /// Arm the injected mid-migration resize abort (see [`crate::fault`]).
-    pub fn inject_resize_abort(&mut self) {
-        self.injected.resize_abort = true;
-    }
-
-    /// Current injected-fault flags. Kernel fault checks read these; they
-    /// cost nothing on the fault-free path beyond one branch per check
+    /// The armed injected fault, if any. Kernel fault checks read it; they
+    /// cost nothing on the fault-free path beyond one comparison per check
     /// site (never per instruction).
-    pub fn injected_faults(&self) -> InjectedFaults {
+    pub fn injected(&self) -> Option<Fault> {
         self.injected
     }
 

@@ -36,11 +36,6 @@ fn baseline_ladder() -> &'static GpuRunResult {
     RUN.get_or_init(|| run_local_assembly(dataset(), &config(RetryPolicy::ladder(21))))
 }
 
-/// The run-global job id a plan targets (every plan here targets one).
-fn victim_of(plan: &FaultPlan, n_jobs: u64) -> u64 {
-    (0..n_jobs).find(|&j| plan.targets(j)).expect("plan targets one launched job")
-}
-
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(6))]
 
@@ -54,7 +49,7 @@ proptest! {
         let mut cfg = config(RetryPolicy::none());
         let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let plan = FaultPlan::seeded(seed, jobs.len() as u64);
-        let victim = victim_of(&plan, jobs.len() as u64);
+        let victim = plan.victim;
         cfg.fault = Some(plan);
 
         let faulted = run_local_assembly(ds, &cfg);
@@ -85,7 +80,7 @@ proptest! {
         let mut cfg = config(RetryPolicy::none());
         let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let plan = FaultPlan::seeded(seed, jobs.len() as u64).persist(u32::MAX);
-        let victim = victim_of(&plan, jobs.len() as u64);
+        let victim = plan.victim;
         cfg.fault = Some(plan);
 
         let faulted = run_local_assembly(ds, &cfg);
@@ -241,52 +236,6 @@ fn persistent_table_squeeze_exhausts_escalation() {
         }
         other => panic!("expected Failed(HashTableFull), got {other:?}"),
     }
-}
-
-/// A resize aborted mid-migration (the table is squeezed so a grow
-/// genuinely triggers, then the migration is cut after its first chunk)
-/// is a retryable fault like any other rung of the ladder: the victim
-/// recovers bit-exactly on one clean retry, and the half-migrated table
-/// never leaks into the output. The control arm proves the same squeeze
-/// *without* the abort is absorbed by the resize with zero escalation.
-#[test]
-fn resize_abort_mid_migration_recovers_bit_exactly() {
-    let ds = squeeze_dataset(21, 80);
-    let mut cfg = config(RetryPolicy::none());
-    cfg.resize = true;
-
-    let clean = run_local_assembly(&ds, &cfg);
-    assert_eq!(clean.outcomes[0], JobOutcome::Ok, "unfaulted resizing run must be clean");
-
-    // Squeeze the victim so a resize genuinely triggers, then abort its
-    // migration mid-chunk (a hand-assembled two-field plan; see
-    // `FaultPlan::resize_abort`).
-    let mut aborted_cfg = cfg.clone();
-    aborted_cfg.fault = Some(FaultPlan {
-        squeeze_at: Some((0, 3)),
-        resize_abort_at: Some(0),
-        attempts: 1,
-        ..FaultPlan::default()
-    });
-    let aborted = run_local_assembly(&ds, &aborted_cfg);
-    assert_eq!(
-        aborted.outcomes[0],
-        JobOutcome::Recovered { attempts: 1 },
-        "a mid-migration abort must take the single clean-retry recovery path"
-    );
-    assert_eq!(aborted.extensions, clean.extensions, "recovery is bit-exact");
-
-    // Control: the same squeeze without the abort resizes to completion —
-    // zero escalation attempts (the tentpole's acceptance property).
-    let mut squeezed_cfg = cfg.clone();
-    squeezed_cfg.fault = Some(FaultPlan::table_squeeze(0, 3));
-    let squeezed = run_local_assembly(&ds, &squeezed_cfg);
-    assert_eq!(
-        squeezed.outcomes[0],
-        JobOutcome::Ok,
-        "the completed in-kernel resize absorbs the squeeze without escalating"
-    );
-    assert_eq!(squeezed.extensions, clean.extensions);
 }
 
 /// Non-property smoke check tying the suite together: a `Failed` job's
