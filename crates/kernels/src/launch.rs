@@ -262,7 +262,7 @@ fn escalation_ladder(
 ///
 /// Each attempt is a fresh single-warp launch (`parallel: false`) whose
 /// arena hint is recomputed for the grown slot reserve; the injection
-/// plan stays armed for attempt indices `0..plan.attempts` (the batch run
+/// plan stays armed for attempt indices `0..plan.attempts()` (the batch run
 /// was attempt 0), so a transient plan clears on the first retry while a
 /// persistent one keeps faulting until the ladder is exhausted. Every
 /// attempt is folded into the ledger like a batch launch, under the
@@ -301,7 +301,7 @@ fn escalate_job(
         let mut launch_cfg =
             launch_config(cfg, effective_hierarchy(spec, 1), arena_hint, victim_id);
         launch_cfg.parallel = false;
-        launch_cfg.fault = cfg.fault.filter(|p| attempts < p.attempts);
+        launch_cfg.fault = cfg.fault.filter(|p| attempts < p.attempts());
         let out = launch_warps(launch_cfg, std::slice::from_ref(&retry), run_extension);
         // A single resident warp hides nothing: the retry replays at
         // residency 1.

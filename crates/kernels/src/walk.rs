@@ -6,6 +6,11 @@
 //! shuffles. All the instruction cost is charged to the single-lane mask,
 //! which is exactly the thread-predication effect the paper analyses:
 //! every walk instruction still occupies the whole warp.
+//!
+//! The three word-by-word loops (the contig tail, the visited scan and the
+//! stored-key compare) issue their loads as [`Warp::load_u32_scalar_run`]s.
+//! Every load is still charged one by one; only the host work of loads
+//! that re-read the sector just read is batched.
 
 use crate::fault::KernelFault;
 use crate::layout::{DeviceJob, EMPTY, OFF_HI_Q, OFF_KEY_LEN, OFF_KEY_OFF, OFF_LOW_Q};
@@ -50,11 +55,9 @@ pub fn mer_walk_kernel(warp: &mut Warp, job: &DeviceJob) -> Result<Walk, KernelF
 
     // Slice the terminal k-mer out of the contig (Algorithm 2 line 4).
     let tail = job.contig + job.contig_len as u64 - k as u64;
-    for j in 0..chunks {
-        // Chunked loads; the final chunk is clamped to stay in bounds.
-        let addr = (tail + 4 * j).min(job.contig + job.contig_len as u64 - 4);
-        let _ = warp.load_u32_scalar(lane, addr);
-    }
+    // Chunked loads; the final chunk is clamped to stay in bounds.
+    let last_word = job.contig + job.contig_len as u64 - 4;
+    warp.load_u32_scalar_run(lane, chunks, 0, |j| (tail + 4 * j).min(last_word), |_| false);
     let mut window = warp.mem.read_bytes(tail, k as u64).to_vec();
 
     let mut visited = 0u64;
@@ -82,12 +85,9 @@ pub fn mer_walk_kernel(warp: &mut Warp, job: &DeviceJob) -> Result<Walk, KernelF
         let fp = window_fingerprint(&window);
 
         // loop_exists(k-mer): scan the visited list in device memory.
-        for i in 0..visited {
-            let v = warp.load_u32_scalar(lane, job.visited + 4 * i);
-            warp.iop(lm, 1);
-            if v == fp {
-                break 'walk WalkState::Loop;
-            }
+        let seen = warp.load_u32_scalar_run(lane, visited, 1, |i| job.visited + 4 * i, |v| v == fp);
+        if seen.is_some() {
+            break 'walk WalkState::Loop;
         }
         warp.store_u32_scalar(lane, job.visited + 4 * visited, fp);
         visited += 1;
@@ -113,13 +113,10 @@ pub fn mer_walk_kernel(warp: &mut Warp, job: &DeviceJob) -> Result<Walk, KernelF
                 break;
             }
             let off = warp.load_u32_scalar(lane, job.entry_field(slot, OFF_KEY_OFF));
-            for j in 0..chunks {
-                // Clamped like the contig tail: a key ending within 3
-                // bytes of the reads buffer's end re-reads the last whole
-                // word instead of touching the next buffer's sectors.
-                let _ = warp.load_u32_scalar(lane, job.key_chunk_addr(off, j));
-                warp.iop(lm, 1);
-            }
+            // Clamped like the contig tail: a key ending within 3 bytes of
+            // the reads buffer's end re-reads the last whole word instead
+            // of touching the next buffer's sectors.
+            warp.load_u32_scalar_run(lane, chunks, 1, |j| job.key_chunk_addr(off, j), |_| false);
             let matches = match job.key_fp(off) {
                 Some(f) if f != fp => false,
                 _ => warp.mem.read_bytes(job.reads + off as u64, k as u64) == window.as_slice(),

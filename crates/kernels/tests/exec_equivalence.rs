@@ -15,10 +15,15 @@
 //! The only quantities allowed to differ under `Scheduled` are the modeled
 //! seconds (the walk latency term comes from the replay instead of the
 //! analytic formula) and `phases.sched` itself (absent in counter mode).
+//!
+//! A sanitized warp runs the reference route of every fast path that
+//! needs per-access shadow checks, so the matrix above, which sanitizes
+//! every run, never compares those fast paths with `Scalar`;
+//! `unsanitized_fast_paths_match_the_sanitized_scalar_baseline` does.
 
 use gpu_specs::DeviceId;
 use locassm_kernels::{run_local_assembly, GpuConfig, GpuRunResult, JobOutcome, TableLayoutKind};
-use simt::{ExecMode, FaultPlan, SanitizerConfig};
+use simt::{EventKind, ExecMode, FaultPlan, SanitizerConfig, WarpTrace};
 use workloads::paper_dataset;
 
 const DEVICES: [DeviceId; 3] = [DeviceId::A100, DeviceId::Mi250x, DeviceId::Max1550];
@@ -256,4 +261,64 @@ fn sched_tracks_are_opt_in_and_consistent() {
         sched.busy_ticks,
         "the retry's slices must not drop out of the SM tracks"
     );
+}
+
+/// `traces` with the sanitizer's `SanFinding` events removed: everything
+/// an unsanitized run must reproduce of a sanitized one.
+fn without_san_findings(traces: &[WarpTrace]) -> Vec<WarpTrace> {
+    let mut out = traces.to_vec();
+    for t in &mut out {
+        t.events.retain(|e| !matches!(e.kind, EventKind::SanFinding { .. }));
+    }
+    out
+}
+
+/// The fast paths a sanitized warp switches off (`touch_u32_with`'s
+/// streaming route and the single-lane load runs of the mer-walk) against
+/// the reference interpreter: unsanitized `Vectorized` and `Scheduled`
+/// runs must reproduce the sanitized `Scalar` run's extensions, outcomes,
+/// counters and traces (less its findings). Vectorized seconds match bit
+/// for bit; the Scheduled replay profile, SM slices and seconds match the
+/// sanitized Scheduled run's.
+#[test]
+fn unsanitized_fast_paths_match_the_sanitized_scalar_baseline() {
+    for (k, scale, seed) in [(21usize, 0.003, 42u64), (77, 0.01, 99)] {
+        let ds = paper_dataset(k, scale, seed);
+        for device in DEVICES {
+            let run = |exec, sanitize| {
+                let mut cfg = GpuConfig::for_device(device);
+                cfg.parallel = false;
+                cfg.trace = true;
+                cfg.sanitize = sanitize;
+                cfg.exec = exec;
+                run_local_assembly(&ds, &cfg)
+            };
+            let sca = run(ExecMode::Scalar, SanitizerConfig::all());
+            let sca_traces = without_san_findings(&sca.traces);
+            let sched_ref = run(ExecMode::Scheduled, SanitizerConfig::all());
+            for exec in [ExecMode::Vectorized, ExecMode::Scheduled] {
+                let tag = format!("k={k} {device} unsanitized {exec:?}");
+                let fast = run(exec, SanitizerConfig::default());
+                assert_eq!(fast.extensions, sca.extensions, "{tag}: extensions");
+                assert_eq!(fast.outcomes, sca.outcomes, "{tag}: outcomes");
+                assert_eq!(fast.profile.total, sca.profile.total, "{tag}: aggregate counters");
+                let (p, q) = (&fast.profile.phases, &sca.profile.phases);
+                assert_eq!(p.construct, q.construct, "{tag}: construct phase");
+                assert_eq!(p.walk, q.walk, "{tag}: walk phase");
+                assert_eq!(p.walk_budget, q.walk_budget, "{tag}: walk budget");
+                assert_eq!(p.watchdog_trips, q.watchdog_trips, "{tag}: watchdog trips");
+                assert_eq!(fast.traces, sca_traces, "{tag}: warp traces");
+                if exec == ExecMode::Vectorized {
+                    assert_eq!(fast.profile.seconds(), sca.profile.seconds(), "{tag}: seconds");
+                } else {
+                    // SM slices start and end where the recorded loads
+                    // stall, so they pin every timeline word's clock.
+                    let want = &sched_ref.profile;
+                    assert_eq!(p.sched, want.phases.sched, "{tag}: sched profile");
+                    assert_eq!(fast.sched_tracks, sched_ref.sched_tracks, "{tag}: SM slices");
+                    assert_eq!(fast.profile.seconds(), want.seconds(), "{tag}: seconds");
+                }
+            }
+        }
+    }
 }

@@ -165,6 +165,22 @@ impl MemHierarchy {
         level
     }
 
+    /// Charge `n` one-sector reads of the sector the last L1 access
+    /// touched, with no other access in between: each is a memory
+    /// instruction that hits in L1.
+    ///
+    /// Counts exactly what `n` [`MemHierarchy::access_batched`] reads of
+    /// that sector would count. Reads allocate in L1, so the sector is
+    /// resident and valid; its line already holds the newest LRU stamp of
+    /// its set, and LRU only compares stamps within a set, so the hits
+    /// change no cache state that a later outcome can see. No L2 request
+    /// is made, so there is nothing to sync.
+    pub fn repeat_l1_hits(&mut self, n: u64) {
+        self.stats.mem_instructions += n;
+        self.stats.l1.requests += n;
+        self.stats.l1.hits += n;
+    }
+
     fn read_sector(&mut self, sector: u64) -> MemLevel {
         let level = self.read_sector_unsynced(sector);
         self.sync_writebacks();

@@ -352,13 +352,13 @@ pub fn run_service(requests: &[ExtensionRequest], cfg: &ServiceConfig) -> Servic
         gpu.binning = BinningPolicy::Single;
         gpu.fault = None;
         if let Some(plan) = cfg.fault {
-            if let Some(pos) = picked.iter().position(|q| q.req.id.uid() == plan.victim) {
+            if let Some(pos) = picked.iter().position(|q| q.req.id.uid() == plan.victim()) {
                 // The run-global id of the victim's first launched side.
                 let run_id = job_order(&plan_launches(&ds, &gpu)).position(|(i, _)| i == pos);
                 if let Some(run_id) = run_id {
                     gpu.fault = plan
                         .consume(picked[pos].attempts_spent)
-                        .map(|p| FaultPlan { victim: run_id as u64, ..p });
+                        .map(|p| p.with_victim(run_id as u64));
                 }
             }
         }

@@ -2,18 +2,20 @@
 //!
 //! The paper measures (Appendix B):
 //!
-//! * NVIDIA: `INTOPs = smsp__inst_executed.sum` (warp instructions) and
-//!   `HBM bytes = dram__bytes.sum`;
+//! * NVIDIA: INTOPs from warp-instruction counters such as
+//!   `smsp__inst_executed.sum`, and `HBM bytes = dram__bytes.sum`;
 //! * AMD: `INTOPs = 64 × (SQ_INSTS_VALU_INT32 + SQ_INSTS_VALU_INT64)` and
 //!   HBM bytes from `TCC_EA_*` request counters;
 //! * Intel: Advisor's INT-op and GTI/HBM traffic counters.
 //!
-//! All three are *warp-level* counts: one vector instruction costs the full
-//! warp width regardless of predication. [`WarpCounters::intops`] therefore
-//! multiplies integer warp-instructions by the warp width — thread
-//! predication (the load-imbalance effect the paper analyses at large k)
-//! shows up as inflated INTOPs per useful lane-op, which we additionally
-//! expose via [`WarpCounters::lane_utilization`].
+//! Here INTOPs = width × integer warp instructions on every device: one
+//! vector instruction costs the full warp width regardless of predication.
+//! On NVIDIA, counters like `smsp__inst_executed` supply the warp-level
+//! instruction count, which carries no width factor of its own, so
+//! [`WarpCounters::intops`] multiplies integer warp instructions by the
+//! warp width. Thread predication (the load-imbalance effect the paper
+//! analyses at large k) shows up as inflated INTOPs per useful lane-op,
+//! which we additionally expose via [`WarpCounters::lane_utilization`].
 
 use memhier::MemStats;
 

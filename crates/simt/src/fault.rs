@@ -50,18 +50,16 @@ pub enum Fault {
 /// launches across batches and sides in deterministic order (the same
 /// numbering the trace layer uses), and offsets each launch's local
 /// indices by [`crate::grid::LaunchConfig::fault_base`].
+///
+/// The fields are private, so every plan comes from a constructor and is
+/// one real fault: at least one attempt faults, an allocation fault
+/// fails an allocation that happens (`nth ≥ 1`), and a squeeze divides
+/// the table by at least 2.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FaultPlan {
-    /// Run-global index of the job that observes the fault.
-    pub victim: u64,
-    /// The fault the victim observes.
-    pub fault: Fault,
-    /// How many attempts of the victim job observe the fault. `1` (every
-    /// constructor's default) models a transient fault: the first retry
-    /// runs clean. `2` also faults the first (grown-table) retry, pushing
-    /// recovery down the k-ladder; `u32::MAX` models a persistent fault
-    /// that exhausts every escalation step and ends in `Failed`.
-    pub attempts: u32,
+    victim: u64,
+    fault: Fault,
+    attempts: u32,
 }
 
 impl FaultPlan {
@@ -88,10 +86,37 @@ impl FaultPlan {
     }
 
     /// Make the fault persist for the victim's first `attempts` attempts
-    /// (the original run counts as attempt one).
+    /// (the original run counts as attempt one; 0 counts as 1).
     pub fn persist(mut self, attempts: u32) -> Self {
         self.attempts = attempts.max(1);
         self
+    }
+
+    /// The same plan aimed at job `victim` instead: a driver that names
+    /// its victim in its own id space moves it onto a run's job numbering
+    /// with this.
+    pub fn with_victim(self, victim: u64) -> Self {
+        Self { victim, ..self }
+    }
+
+    /// Index of the job that observes the fault.
+    pub fn victim(&self) -> u64 {
+        self.victim
+    }
+
+    /// The fault the victim observes.
+    pub fn fault(&self) -> Fault {
+        self.fault
+    }
+
+    /// How many attempts of the victim job observe the fault, at least 1.
+    /// `1` (every constructor's default) models a transient fault: the
+    /// first retry runs clean. `2` also faults the first (grown-table)
+    /// retry, pushing recovery down the k-ladder; `u32::MAX` models a
+    /// persistent fault that exhausts every escalation step and ends in
+    /// `Failed`.
+    pub fn attempts(&self) -> u32 {
+        self.attempts
     }
 
     /// Derive a single-fault plan from a seed: a splitmix64 scramble
@@ -122,7 +147,8 @@ impl FaultPlan {
     /// A driver that re-enqueues jobs (a service-level retry, a requeue
     /// after backpressure) names its victim in its own stable id space,
     /// feeds the attempts spent so far through this, and moves the
-    /// `victim` field onto each run's job numbering just before launch.
+    /// victim onto each run's job numbering ([`FaultPlan::with_victim`])
+    /// just before launch.
     /// That makes a persistent fault *globally* persistent: a
     /// `persist(3)` plan faults exactly three attempts of the same
     /// request even when those attempts span multiple separate runs.
@@ -163,8 +189,8 @@ mod tests {
         let mut dog = 0;
         for seed in 0..64u64 {
             let p = FaultPlan::seeded(seed, 9);
-            assert!(p.victim < 9);
-            match p.fault {
+            assert!(p.victim() < 9);
+            match p.fault() {
                 Fault::TableFull => table += 1,
                 Fault::AllocFailure { nth } => {
                     alloc += 1;
@@ -192,14 +218,14 @@ mod tests {
         let plan = FaultPlan::table_full(0).persist(3);
         // Run 1 spent 2 attempts: one remains.
         let rest = plan.consume(2).expect("budget not yet exhausted");
-        assert_eq!(rest, FaultPlan { attempts: 1, ..plan });
+        assert_eq!(rest, plan.persist(1));
         // Run 2 spent that one: the plan disarms entirely.
         assert_eq!(rest.consume(1), None);
         assert_eq!(plan.consume(3), None);
         assert_eq!(plan.consume(u32::MAX), None);
         // An inexhaustible plan never disarms.
         let forever = FaultPlan::watchdog(1).persist(u32::MAX);
-        assert_eq!(forever.consume(1_000_000).map(|p| p.attempts), Some(u32::MAX - 1_000_000));
+        assert_eq!(forever.consume(1_000_000).map(|p| p.attempts()), Some(u32::MAX - 1_000_000));
     }
 
     #[test]
@@ -211,5 +237,37 @@ mod tests {
         assert_eq!(warp.injected(), None);
         assert!(warp.mem.try_alloc(16).is_ok(), "reset must disarm the allocation fault");
         assert!(warp.mem.try_alloc(16).is_ok());
+    }
+
+    /// Whether `p` faults something: at least one attempt, an allocation
+    /// that happens, and a squeeze that shrinks the table.
+    fn is_real_fault(p: &FaultPlan) -> bool {
+        let fault_ok = match p.fault() {
+            Fault::AllocFailure { nth } => nth >= 1,
+            Fault::TableSqueeze { divisor } => divisor >= 2,
+            Fault::TableFull | Fault::Watchdog => true,
+        };
+        p.attempts() >= 1 && fault_ok
+    }
+
+    #[test]
+    fn every_constructible_plan_is_a_real_fault() {
+        let mut plans: Vec<FaultPlan> =
+            (0..512u64).map(|seed| FaultPlan::seeded(seed, 7)).collect();
+        plans.extend((0..4).map(|divisor| FaultPlan::table_squeeze(1, divisor)));
+        plans.extend((0..3).map(|nth| FaultPlan::alloc_failure(2, nth)));
+        plans.extend([FaultPlan::table_full(0), FaultPlan::watchdog(0)]);
+        for p in plans.clone() {
+            plans.extend([p.persist(0), p.persist(1), p.persist(u32::MAX), p.with_victim(9)]);
+            plans.extend(
+                [0, 1, 2, u32::MAX].iter().filter_map(|&spent| p.persist(3).consume(spent)),
+            );
+        }
+        for p in &plans {
+            assert!(is_real_fault(p), "{p:?} faults nothing");
+        }
+        assert_eq!(FaultPlan::table_squeeze(0, 0), FaultPlan::table_squeeze(0, 2));
+        assert_eq!(FaultPlan::table_full(0).persist(0).attempts(), 1);
+        assert_eq!(FaultPlan::watchdog(3).persist(4).with_victim(8).attempts(), 4);
     }
 }

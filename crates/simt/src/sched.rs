@@ -202,6 +202,28 @@ impl TimelineRecorder {
         self.push(at, tag);
     }
 
+    /// Record `n` memory instructions that resolved at L1, the first
+    /// issued at post-increment clock `first_at` and each later one
+    /// `stride` instructions after the one before. Appends exactly the
+    /// words `n` calls of [`TimelineRecorder::record_mem`] would.
+    pub fn record_l1_run(&mut self, first_at: u64, stride: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.push(first_at, TAG_L1);
+        if stride <= DELTA_MASK {
+            // Every later gap fits the delta field: one repeated word.
+            let word = (stride as u8) << TAG_BITS | TAG_L1;
+            let rest = (n - 1) as usize;
+            self.timeline.events.extend(std::iter::repeat_n(word, rest));
+            self.last_at = first_at + (n - 1) * stride;
+        } else {
+            for i in 1..n {
+                self.push(first_at + i * stride, TAG_L1);
+            }
+        }
+    }
+
     /// Record a phase entry.
     pub fn record_phase_enter(&mut self, name: &'static str, at: u64) {
         self.push(at, TAG_ENTER);
@@ -975,6 +997,41 @@ mod codec_tests {
             prop_assert_eq!(r.issue_ticks(), t.total_instructions * 10);
             prop_assert_eq!(r.busy_ticks, t.total_instructions * 10);
             prop_assert_eq!(r.stall_ticks(), stall);
+        }
+
+        /// `record_l1_run` writes byte for byte what repeated
+        /// `record_mem(.., L1)` calls write, after and before other events,
+        /// for every stride from 1 to 40 (both sides of the 5-bit delta
+        /// field) and first gaps up to 2^40.
+        #[test]
+        fn l1_runs_append_what_repeated_records_do(
+            lead in (0u8..5, any::<u64>()),
+            n in 0u64..48,
+            first in (0u8..5, any::<u64>()),
+            next in (0u8..5, any::<u64>()),
+        ) {
+            for stride in 1..=40 {
+                let lead_at = gap(lead.0, lead.1);
+                let first_at = lead_at + gap(first.0, first.1);
+                let end = first_at + n.saturating_sub(1) * stride;
+                let next_at = end + gap(next.0, next.1);
+                let record = |bulk: bool| {
+                    let mut rec = TimelineRecorder::new(4);
+                    rec.record_phase_enter("walk", 0);
+                    rec.record_mem(lead_at, MemLevel::Hbm);
+                    if bulk {
+                        rec.record_l1_run(first_at, stride, n);
+                    } else {
+                        for i in 0..n {
+                            rec.record_mem(first_at + i * stride, MemLevel::L1);
+                        }
+                    }
+                    rec.record_mem(next_at, MemLevel::L2);
+                    rec.record_phase_exit(next_at);
+                    rec.finish(next_at + 3)
+                };
+                prop_assert_eq!(record(true), record(false), "stride {}", stride);
+            }
         }
     }
 

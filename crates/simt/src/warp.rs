@@ -19,6 +19,7 @@ use crate::mem::GlobalMem;
 use crate::san::{SanKind, SanReport, SanState, SanitizerConfig};
 use crate::sched::{TimelineRecorder, WarpTimeline};
 use crate::trace::{EventKind, TraceSink, WarpTrace};
+use memhier::config::SECTOR_BYTES;
 use memhier::{
     coalesce_sectors_into, AccessKind, Addr, CoalesceResult, HierarchyConfig, MemHierarchy,
 };
@@ -31,8 +32,11 @@ use memhier::{
 /// `Scalar` keeps the reference implementation (every scalar helper expands
 /// to a whole-warp [`LaneVec`] operation with a one-lane mask) as a
 /// measurable baseline; `Vectorized` — the default — routes single-lane
-/// accesses through a direct fast path and resolves each warp-wide access
-/// in one batched pass over the coalesced sector set. `Scheduled` executes
+/// accesses through a direct fast path, resolves each warp-wide access
+/// in one batched pass over the coalesced sector set, and charges a
+/// [`Warp::load_u32_scalar_run`]'s repeat L1 hits together. Every load is
+/// still charged one by one in modeled state; only the host work is
+/// batched. `Scheduled` executes
 /// exactly like `Vectorized` but additionally records a per-warp
 /// [`crate::sched::WarpTimeline`] (memory instructions annotated with the
 /// hierarchy level they resolved at) for the post-launch event-driven
@@ -340,12 +344,17 @@ impl Warp {
         self.counters.int_instructions += n;
         let active = mask.count();
         self.counters.lane_int_ops += n * active as u64;
-        // Divergence profile: bucket by active-lane quartile.
-        let q = ((4 * active).div_ceil(self.width).clamp(1, 4) - 1) as usize;
-        self.counters.occupancy_quartiles[q] += n;
+        self.counters.occupancy_quartiles[self.quartile(active)] += n;
         if let Some(s) = self.san.as_deref_mut() {
             s.note_active(mask);
         }
+    }
+
+    /// Divergence profile: the occupancy quartile bucket of an
+    /// instruction issued with `active` lanes on.
+    #[inline]
+    fn quartile(&self, active: u32) -> usize {
+        ((4 * active).div_ceil(self.width).clamp(1, 4) - 1) as usize
     }
 
     fn mem_access(&mut self, mask: Mask, addrs: &LaneVec<Addr>, size: u32, kind: AccessKind) {
@@ -493,6 +502,89 @@ impl Warp {
         }
         self.scalar_access(lane, addr, 4, AccessKind::Read);
         self.mem.read_u32(addr)
+    }
+
+    /// A run of `n` single-lane 32-bit loads, the `i`-th at `addr_of(i)`,
+    /// each followed by `iops` integer instructions on the same lane. The
+    /// run ends after the first load whose value `stop` accepts, that
+    /// load's `iops` included, and returns its index; `None` if no value
+    /// was accepted.
+    ///
+    /// Models exactly what a loop of [`Warp::load_u32_scalar`] then
+    /// [`Warp::iop`] models: every load is still charged one by one, as
+    /// one memory instruction with its own L1 request and timeline word.
+    /// Only the host work is batched. A load that lies wholly inside the
+    /// sector the previous load of the run ended in is an L1 hit that
+    /// changes no cache state (see [`MemHierarchy::repeat_l1_hits`]), so
+    /// consecutive such loads skip the coalescer and the cache and are
+    /// charged together. `Scalar` and sanitized warps run the reference
+    /// loop, so the sanitizer's shadow sees every access.
+    pub fn load_u32_scalar_run(
+        &mut self,
+        lane: u32,
+        n: u64,
+        iops: u64,
+        addr_of: impl Fn(u64) -> Addr,
+        mut stop: impl FnMut(u32) -> bool,
+    ) -> Option<u64> {
+        let lm = Mask::lane(lane);
+        if self.exec == ExecMode::Scalar || self.san.is_some() {
+            for i in 0..n {
+                let v = self.load_u32_scalar(lane, addr_of(i));
+                if iops > 0 {
+                    self.iop(lm, iops);
+                }
+                if stop(v) {
+                    return Some(i);
+                }
+            }
+            return None;
+        }
+        // The sector the previous load ended in, and the repeat loads
+        // since the last full-path load, not yet charged.
+        let mut sector = None;
+        let mut repeats = 0;
+        let mut found = None;
+        for i in 0..n {
+            let addr = addr_of(i);
+            let (first, last) = (addr / SECTOR_BYTES, (addr + 3) / SECTOR_BYTES);
+            if first == last && sector == Some(first) {
+                repeats += 1;
+            } else {
+                self.charge_repeat_loads(iops, repeats);
+                repeats = 0;
+                self.scalar_access(lane, addr, 4, AccessKind::Read);
+                if iops > 0 {
+                    self.iop(lm, iops);
+                }
+                sector = Some(last);
+            }
+            if stop(self.mem.read_u32(addr)) {
+                found = Some(i);
+                break;
+            }
+        }
+        self.charge_repeat_loads(iops, repeats);
+        found
+    }
+
+    /// Charge `m` repeat loads of a run ([`Warp::load_u32_scalar_run`]):
+    /// L1 hits one clock step apart, each followed by `iops` single-lane
+    /// integer instructions, counted as `m` [`Warp::iop`] calls would.
+    fn charge_repeat_loads(&mut self, iops: u64, m: u64) {
+        if m == 0 {
+            return;
+        }
+        if let Some(r) = self.recorder.as_deref_mut() {
+            r.record_l1_run(self.counters.warp_instructions + 1, 1 + iops, m);
+        }
+        self.hier.repeat_l1_hits(m);
+        let int = m * iops;
+        self.counters.warp_instructions += m + int;
+        self.counters.int_instructions += int;
+        // One lane is active.
+        self.counters.lane_int_ops += int;
+        self.counters.occupancy_quartiles[self.quartile(1)] += int;
     }
 
     /// Single-lane 32-bit store.
@@ -845,6 +937,166 @@ mod tests {
 mod proptests {
     use super::*;
     use proptest::prelude::*;
+
+    /// Words in the arena that the run and the unrelated traffic share.
+    const ARENA_WORDS: u64 = 512;
+
+    /// One unrelated access or integer step before or after a run: a
+    /// single-lane load or store, a warp-wide load, or integer work, at
+    /// the arena word `at` picks (the run's words included).
+    fn unrelated(w: &mut Warp, base: Addr, (kind, at): (u8, u64)) -> u32 {
+        let lane = (at % w.width() as u64) as u32;
+        let addr = base + 4 * (at % (ARENA_WORDS - 64));
+        match kind {
+            0 => w.load_u32_scalar(lane, addr),
+            1 => {
+                w.store_u32_scalar(lane, addr, at as u32);
+                0
+            }
+            2 => {
+                let addrs = LaneVec::from_fn(w.width(), |l| addr + 4 * l as u64);
+                w.load_u32(w.full_mask(), &addrs)[lane]
+            }
+            _ => {
+                w.iop(Mask::lane(lane), 1 + at % 3);
+                0
+            }
+        }
+    }
+
+    type RunOutcome =
+        (Option<u64>, Vec<u32>, WarpCounters, Option<WarpTimeline>, Option<WarpTrace>);
+
+    /// One generated run and the unrelated traffic around it.
+    struct RunCase {
+        width: u32,
+        exec: ExecMode,
+        trace: bool,
+        lane: u32,
+        n: u64,
+        iops: u64,
+        /// Arena byte offset of the first load (not always a multiple of
+        /// 4), and the last offset a load may take: loads past it repeat
+        /// the word there.
+        start: u64,
+        limit: u64,
+        /// Index of the load whose value stops the run, if any.
+        target: Option<u64>,
+        before: Vec<(u8, u64)>,
+        after: Vec<(u8, u64)>,
+    }
+
+    /// Drive one warp through `before`, the run and `after`, taking the
+    /// run either as [`Warp::load_u32_scalar_run`] or as the loop it
+    /// replaces: `load_u32_scalar`, then `iop` unless `iops` is 0.
+    fn drive(c: &RunCase, as_run: bool) -> RunOutcome {
+        let mut w = Warp::new(c.width, HierarchyConfig::tiny());
+        w.set_exec(c.exec);
+        if c.exec == ExecMode::Scheduled {
+            w.enable_recorder(5);
+        }
+        if c.trace {
+            w.enable_trace(5);
+        }
+        let base = w.mem.alloc(4 * ARENA_WORDS + 4);
+        for i in 0..=ARENA_WORDS {
+            let x = (i + 1).wrapping_mul(0x9e37_79b9_7f4a_7c15);
+            w.mem.write_u32(base + 4 * i, (x >> 32) as u32);
+        }
+        let addr_of = |i: u64| base + (c.start + 4 * i).min(c.limit);
+        // The stop value is read before any traffic, so both sides stop
+        // on the same word whatever the stores below write.
+        let stop_value = c.target.map(|i| w.mem.read_u32(addr_of(i)));
+        let mut seen: Vec<u32> = c.before.iter().map(|&op| unrelated(&mut w, base, op)).collect();
+        w.phase_enter("walk");
+        let found = if as_run {
+            w.load_u32_scalar_run(c.lane, c.n, c.iops, addr_of, |v| Some(v) == stop_value)
+        } else {
+            let mut found = None;
+            for i in 0..c.n {
+                let v = w.load_u32_scalar(c.lane, addr_of(i));
+                if c.iops > 0 {
+                    w.iop(Mask::lane(c.lane), c.iops);
+                }
+                if Some(v) == stop_value {
+                    found = Some(i);
+                    break;
+                }
+            }
+            found
+        };
+        w.phase_exit("walk");
+        seen.extend(c.after.iter().map(|&op| unrelated(&mut w, base, op)));
+        let counters = w.finish();
+        (found, seen, counters, w.take_timeline(), w.take_trace())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(512))]
+
+        /// A run charges exactly what the loop it replaces charges —
+        /// return value, later loads, every counter with the memory stats,
+        /// the sealed timeline and the trace — over aligned and unaligned
+        /// starts (some loads straddle two sectors), clamped tails that
+        /// repeat the last word, 0–2 iops, stops at the first index, mid-
+        /// sector, at the last index or never, three warp widths, both
+        /// fast-path modes, and tracing on and off.
+        #[test]
+        fn load_run_matches_the_loop_it_replaces(
+            shape in (0usize..3, 0u8..2, any::<bool>(), any::<u32>()),
+            run in (0u64..81, 0u64..4, 0u64..3, 0u64..(4 * 160)),
+            stop in (0u8..4, any::<u64>()),
+            traffic in (
+                proptest::collection::vec((0u8..4, any::<u64>()), 0..6),
+                proptest::collection::vec((0u8..4, any::<u64>()), 0..6),
+            ),
+        ) {
+            let (width_ix, exec_ix, trace, lane_raw) = shape;
+            let width = [16, 32, 64][width_ix];
+            let (n, clamp, iops, offset) = run;
+            // With `clamp` > 0 the final `clamp` loads repeat the last word.
+            let start = 4 * 160 + offset;
+            let limit = start + 4 * n.saturating_sub(1 + clamp);
+            let addr = |i: u64| (start + 4 * i).min(limit);
+            // Loads that lie wholly in the sector the previous load ended in.
+            let mid: Vec<u64> = (1..n)
+                .filter(|&i| {
+                    let a = addr(i);
+                    a / SECTOR_BYTES == (a + 3) / SECTOR_BYTES
+                        && a / SECTOR_BYTES == (addr(i - 1) + 3) / SECTOR_BYTES
+                })
+                .collect();
+            let (stop_kind, pick) = stop;
+            let target = match stop_kind {
+                _ if n == 0 => None,
+                0 => Some(0),
+                1 if !mid.is_empty() => Some(mid[(pick % mid.len() as u64) as usize]),
+                2 => Some(n - 1),
+                _ => None,
+            };
+            let (before, after) = traffic;
+            let case = RunCase {
+                width,
+                exec: [ExecMode::Vectorized, ExecMode::Scheduled][exec_ix as usize],
+                trace,
+                lane: lane_raw % width,
+                n,
+                iops,
+                start,
+                limit,
+                target,
+                before,
+                after,
+            };
+            let go = |as_run| drive(&case, as_run);
+            let (want, got) = (go(false), go(true));
+            prop_assert_eq!(&got.0, &want.0, "stop index");
+            prop_assert_eq!(&got.1, &want.1, "unrelated loads");
+            prop_assert_eq!(&got.2, &want.2, "counters");
+            prop_assert_eq!(&got.3, &want.3, "timeline");
+            prop_assert_eq!(&got.4, &want.4, "trace");
+        }
+    }
 
     proptest! {
         /// atomic_add over arbitrary lane subsets accumulates exactly the

@@ -49,7 +49,7 @@ proptest! {
         let mut cfg = config(RetryPolicy::none());
         let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let plan = FaultPlan::seeded(seed, jobs.len() as u64);
-        let victim = plan.victim;
+        let victim = plan.victim();
         cfg.fault = Some(plan);
 
         let faulted = run_local_assembly(ds, &cfg);
@@ -80,7 +80,7 @@ proptest! {
         let mut cfg = config(RetryPolicy::none());
         let jobs: Vec<_> = job_order(&plan_launches(ds, &cfg)).collect();
         let plan = FaultPlan::seeded(seed, jobs.len() as u64).persist(u32::MAX);
-        let victim = plan.victim;
+        let victim = plan.victim();
         cfg.fault = Some(plan);
 
         let faulted = run_local_assembly(ds, &cfg);
