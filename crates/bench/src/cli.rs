@@ -34,8 +34,8 @@ pub const SCALE_USAGE: &str = "--scale <number in (0, 100]>";
 
 /// Parse a dataset scale: a number above zero and at most 100, else
 /// `None`. The ceiling keeps generation from saturating the contig count
-/// and panicking on allocation; a full-scale run (1.0) already needs
-/// ~4 GB, and every documented run uses 1.0 or less.
+/// and panicking on allocation; a full-scale `repro all` (1.0) peaks at
+/// about 100 MiB, and every documented run uses 1.0 or less.
 pub fn parse_scale(value: &str) -> Option<f64> {
     value.parse().ok().filter(|s: &f64| *s > 0.0 && *s <= 100.0)
 }

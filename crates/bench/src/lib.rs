@@ -1,7 +1,7 @@
 //! Benchmark harness crate: see `src/bin/repro.rs` for the table/figure
-//! regeneration binary, `benches/` for the criterion suites, and
-//! [`modeled`] for the deterministic scenarios behind the committed
-//! `BENCH_modeled.json` golden, which tier-1 diffs exactly.
+//! regeneration binary and [`modeled`] for the deterministic scenarios
+//! behind the committed `BENCH_modeled.json` golden, which tier-1 diffs
+//! exactly.
 //!
 //! Every binary and test in this crate runs under [`alloc_count`]'s
 //! counting global allocator so allocation deltas (the pooled engine's

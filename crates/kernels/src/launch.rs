@@ -41,7 +41,7 @@ use simt::{
 pub struct GpuConfig {
     pub device: DeviceId,
     /// Kernel dialect; the paper pairs each device with its native model,
-    /// but any combination is allowed (used by the ablation benches).
+    /// but any combination is allowed (used by `repro ablation`).
     pub dialect: Dialect,
     /// Warp/sub-group width; defaults to the device's hardware width.
     pub width: u32,
@@ -79,8 +79,8 @@ pub struct GpuConfig {
     pub sanitize: SanitizerConfig,
     /// Interpreter execution mode for every warp (see [`ExecMode`]).
     /// `Vectorized` (the default) takes the batched hot path; `Scalar`
-    /// keeps the reference per-lane interpreter as a benchmarkable
-    /// baseline. All modeled state is bit-identical either way.
+    /// keeps the reference per-lane interpreter that `exec_equivalence`
+    /// compares against. All modeled state is bit-identical either way.
     pub exec: ExecMode,
     /// Base multiplier on the host-side hash-table slot estimate applied
     /// to every first-attempt job (escalation grows it further on

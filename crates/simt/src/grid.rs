@@ -43,8 +43,8 @@ pub struct LaunchConfig {
     /// occupancy-derived effective share — see `gpu-specs::occupancy`).
     pub hierarchy: HierarchyConfig,
     /// Simulate warps in parallel with rayon. Disable for strictly
-    /// single-threaded runs (e.g. inside criterion benchmarks measuring
-    /// simulator throughput).
+    /// single-threaded runs (e.g. the `host_throughput` bars, which time
+    /// the simulator).
     pub parallel: bool,
     /// Attach a [`crate::TraceSink`] to every warp and collect
     /// [`WarpTrace`]s in [`LaunchOutput::traces`]. Off by default; the
@@ -78,8 +78,8 @@ pub struct LaunchConfig {
     pub sanitize: SanitizerConfig,
     /// Interpreter execution mode for every warp of the launch (see
     /// [`ExecMode`]). `Vectorized` by default; `Scalar` keeps the
-    /// reference per-lane path as a benchmarkable baseline; `Scheduled`
-    /// additionally records per-warp timelines in
+    /// reference per-lane path that equivalence tests compare against;
+    /// `Scheduled` additionally records per-warp timelines in
     /// [`LaunchOutput::timelines`] for the event-driven scheduler replay
     /// ([`crate::sched`]). Bit-identical in all modeled state either way.
     pub exec: ExecMode,
@@ -141,8 +141,8 @@ fn pool() -> &'static WarpPool {
 }
 
 /// Snapshot of the process-wide warp pool's activity (monotone counters;
-/// useful for asserting that reuse actually happens and for the
-/// allocation-accounting benches).
+/// useful for asserting that reuse actually happens, and read by the
+/// benchmark's `simt.pool_reuse_frac`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct PoolStats {
     /// Warps constructed because the pool was empty at acquire time.

@@ -22,8 +22,12 @@
 //!
 //! Tracing is strictly opt-in. A warp without a sink pays one
 //! `Option::is_none` branch per *traced call site* (phase boundaries and
-//! collective/probe markers — never per `iop`), which the criterion
-//! benches in `crates/bench` bound at < 2 % of simulator throughput.
+//! collective/probe markers — never per `iop`). Switched off, it adds no
+//! heap traffic and no modeled work:
+//! `host_throughput::switched_off_observers_cost_nothing`
+//! (`crates/bench/tests`) requires a plain run after a traced one to make
+//! the same heap calls and bytes and interpret the same warp instructions
+//! as a plain run with no trace before it.
 
 use crate::counters::WarpCounters;
 

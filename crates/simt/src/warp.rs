@@ -391,12 +391,7 @@ impl Warp {
         debug_assert!((lane as usize) < crate::MAX_LANES, "lane index {lane} out of range");
         let pre = self.hbm_pre();
         coalesce_sectors_into(&mut self.co_scratch, [(addr, size)]);
-        let level = match self.exec {
-            ExecMode::Scalar => self.hier.access(&self.co_scratch, kind),
-            ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch, kind)
-            }
-        };
+        let level = self.hier.access_batched(&self.co_scratch, kind);
         self.counters.warp_instructions += 1;
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record_mem(self.counters.warp_instructions, level);
@@ -450,12 +445,7 @@ impl Warp {
         }
         let pre = self.hbm_pre();
         coalesce_sectors_into(&mut self.co_scratch, mask.lanes().map(|l| (addr_of(l), 4)));
-        let level = match self.exec {
-            ExecMode::Scalar => self.hier.access(&self.co_scratch, AccessKind::Read),
-            ExecMode::Vectorized | ExecMode::Scheduled => {
-                self.hier.access_batched(&self.co_scratch, AccessKind::Read)
-            }
-        };
+        let level = self.hier.access_batched(&self.co_scratch, AccessKind::Read);
         self.counters.warp_instructions += 1;
         if let Some(r) = self.recorder.as_deref_mut() {
             r.record_mem(self.counters.warp_instructions, level);

@@ -10,7 +10,8 @@
 //!
 //! * [`genome`] — seeded random genome generation,
 //! * [`sampler`] — junction read sampling with substitution errors,
-//! * [`datasets`] — the four paper presets (scalable for tests/benches),
+//! * [`datasets`] — the four paper presets (scalable for tests and the
+//!   benchmark),
 //! * [`stats`] — Table II statistics computed from any dataset.
 
 pub mod datasets;

@@ -11,7 +11,7 @@
 //!
 //! and fix what it reports (missing docs, broken intra-doc links, …).
 //!
-//! `cargo test` builds no bench or example target, yet those call the
+//! `cargo test` builds no example target, yet the examples call the
 //! public API too; the second test checks every target of every workspace
 //! crate and fails on any compiler warning. If it fails, run
 //! `cargo check --workspace --all-targets` and fix what it reports.
